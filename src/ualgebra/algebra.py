@@ -4,9 +4,14 @@ Carriers are always {0, ..., k-1}.  A table for an n-ary symbol is stored
 flat in row-major (lexicographic argument) order; arity 0 is a single
 element.  All values are immutable after construction and all operations
 here are pure.
+
+This module is the only one that knows the row-major layout.  Operation
+and term tables are built by :meth:`FiniteAlgebra.apply_tables`, applied to
+:func:`projection_tables` or to tables pulled back from them.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
@@ -14,6 +19,7 @@ from .check import Check
 from .congruences import is_congruence_via_translations
 from .errors import (
     ArityMismatchError,
+    FormatError,
     NotACongruenceError,
     OutOfCarrierError,
     SignatureMismatchError,
@@ -23,52 +29,87 @@ from .errors import (
 )
 from .partitions import Partition
 from .signature import Signature
-from .terms import Term, evaluate, vars_of
+from .terms import Term, term_table, vars_of
 
 CARRIER_CAP = 4096  # guard for product carriers
+TABLE_CAP = 1 << 20  # entries in one table held in memory
 
 
-def _flatten(table: Any, arity: int, size: int, symbol: str):
-    """Normalize a nested table (depth = arity) to a flat row-major tuple."""
+def _check_length(entries: int) -> None:
+    if entries > TABLE_CAP:
+        raise SizeCapError(f"a table of {entries} entries exceeds the limit of {TABLE_CAP} entries")
+
+
+def projection_tables(sizes: Sequence[int]) -> list[tuple[int, ...]]:
+    """Coordinate tables of the tuples of ``range(sizes[0]) × range(sizes[1]) × ...``.
+
+    The tuples are listed in row-major order, first coordinate most
+    significant; table i holds the i-th coordinate of each tuple.  With
+    every size equal to k these are the projections X^n -> X, the argument
+    tables of a whole n-ary operation table.
+    """
+    total = math.prod(sizes)
+    _check_length(total)
+    tables = []
+    outer = 1
+    for i, k in enumerate(sizes):
+        inner = math.prod(sizes[i + 1 :])
+        block = itertools.chain.from_iterable([(x,) * inner for x in range(k)])
+        tables.append(tuple(block) * outer)
+        outer *= k
+    return tables
+
+
+def _encode(sizes: Sequence[int], columns: Sequence[Sequence[int]]) -> Sequence[int]:
+    """Row-major position of each tuple listed column-wise (first column most significant)."""
+    index = columns[0]
+    for k, column in zip(sizes[1:], columns[1:]):
+        index = [i * k + x for i, x in zip(index, column)]
+    return index
+
+
+def _first_difference(left: Iterable[int], right: Iterable[int]) -> int | None:
+    return next((j for j, (a, b) in enumerate(zip(left, right)) if a != b), None)
+
+
+def _flatten(table: Any, arity: int, size: int, symbol: str) -> tuple[int, ...]:
+    """Normalize a nested table (depth = arity) to a flat row-major tuple.
+
+    A constant's integer becomes a one-entry table.
+    """
     if arity == 0:
-        if not isinstance(table, int):
-            raise ValueError(f"table for constant '{symbol}' must be an integer")
-        return table
+        if type(table) is not int:
+            raise FormatError(f"table for constant '{symbol}' must be an integer")
+        return (table,)
     if not isinstance(table, (list, tuple)):
-        raise ValueError(f"table for '{symbol}' must be a (nested) sequence")
+        raise FormatError(f"table for '{symbol}' must be a (nested) sequence")
     flat: list[int] = []
 
     def walk(node, depth):
         if depth == 0:
-            if not isinstance(node, int):
-                raise ValueError(f"table for '{symbol}' has a non-integer entry: {node!r}")
+            if type(node) is not int:
+                raise FormatError(f"table for '{symbol}' has a non-integer entry: {node!r}")
             flat.append(node)
             return
         if isinstance(node, (list, tuple)):
             if len(node) != size:
-                raise ValueError(
+                raise FormatError(
                     f"table for '{symbol}' has a row of length {len(node)}, expected {size}"
                 )
             for child in node:
                 walk(child, depth - 1)
         else:
-            raise ValueError(f"table for '{symbol}' is not nested to depth {arity}")
+            raise FormatError(f"table for '{symbol}' is not nested to depth {arity}")
 
-    first = table
-    depth_seen = 0
-    while isinstance(first, (list, tuple)) and depth_seen < arity:
-        first = first[0] if len(first) else None
-        depth_seen += 1
-    if depth_seen <= 1 and arity >= 1 and all(isinstance(x, int) for x in table):
-        # already flat
+    if all(type(x) is int for x in table):  # already flat
         if len(table) != size**arity:
-            raise ValueError(
+            raise FormatError(
                 f"flat table for '{symbol}' has {len(table)} entries, expected {size**arity}"
             )
         return tuple(table)
     walk(table, arity)
     if len(flat) != size**arity:
-        raise ValueError(
+        raise FormatError(
             f"table for '{symbol}' has {len(flat)} entries, expected {size**arity}"
         )
     return tuple(flat)
@@ -80,17 +121,16 @@ class FiniteAlgebra:
     __slots__ = ("sig", "size", "_tables")
 
     def __init__(self, sig: Signature, size: int, ops: Mapping[str, Any]):
-        if not isinstance(size, int) or size < 1:
-            raise ValueError(f"carrier size must be a positive integer, got {size!r}")
+        if type(size) is not int or size < 1:
+            raise FormatError(f"carrier size must be a positive integer, got {size!r}")
         self.sig = sig
         self.size = size
-        tables: dict[str, Any] = {}
+        tables: dict[str, tuple[int, ...]] = {}
         for name, arity in sig:
             if name not in ops:
-                raise ValueError(f"no table given for symbol '{name}'")
+                raise FormatError(f"no table given for symbol '{name}'")
             table = _flatten(ops[name], arity, size, name)
-            entries = (table,) if arity == 0 else table
-            for entry in entries:
+            for entry in table:
                 if not 0 <= entry < size:
                     raise OutOfCarrierError(
                         f"table for '{name}' has entry {entry}, carrier size {size}"
@@ -105,20 +145,36 @@ class FiniteAlgebra:
         arity = self.sig.arity(symbol)
         if len(args) != arity:
             raise ArityMismatchError(symbol, arity, len(args))
-        table = self._tables[symbol]
-        if arity == 0:
-            return table
         index = 0
         for a in args:
             if not 0 <= a < self.size:
                 raise OutOfCarrierError(f"argument {a} outside carrier of size {self.size}")
             index = index * self.size + a
-        return table[index]
+        return self._tables[symbol][index]
+
+    def apply_tables(self, symbol: str, args: Sequence[Sequence[int]]) -> tuple[int, ...]:
+        """Apply ``symbol`` pointwise to equal-length tables of carrier elements.
+
+        Entry j of the result is the operation's value on the j-th entries
+        of the argument tables.  Entries are not range-checked: callers pass
+        projection tables, tables built from them, or checked input.  A
+        constant gives its one-entry table.
+        """
+        arity = self.sig.arity(symbol)
+        if len(args) != arity:
+            raise ArityMismatchError(symbol, arity, len(args))
+        table = self._tables[symbol]
+        if not args:
+            return table
+        length = len(args[0])
+        _check_length(length)
+        if any(len(arg) != length for arg in args):
+            raise SizeMismatchError(f"argument tables for '{symbol}' differ in length")
+        return tuple(map(table.__getitem__, _encode((self.size,) * arity, args)))
 
     def table(self, symbol: str):
         """Raw flat table (int for constants)."""
-        self.sig.arity(symbol)
-        return self._tables[symbol]
+        return self._tables[symbol] if self.sig.arity(symbol) else self._tables[symbol][0]
 
     def to_json_dict(self) -> dict:
         ops: dict[str, Any] = {}
@@ -134,17 +190,17 @@ class FiniteAlgebra:
     def from_json_dict(cls, doc: Mapping[str, Any]) -> "FiniteAlgebra":
         """Parse the algebra JSON document; unknown fields are rejected."""
         if not isinstance(doc, Mapping):
-            raise ValueError("algebra document must be a JSON object")
+            raise FormatError("algebra document must be a JSON object")
         extra = set(doc) - {"signature", "size", "ops"}
         if extra:
-            raise ValueError(f"unknown fields in algebra document: {sorted(extra)}")
+            raise FormatError(f"unknown fields in algebra document: {sorted(extra)}")
         for field in ("signature", "size", "ops"):
             if field not in doc:
-                raise ValueError(f"algebra document is missing '{field}'")
+                raise FormatError(f"algebra document is missing '{field}'")
         entries = []
         for item in doc["signature"]:
             if not isinstance(item, Mapping) or set(item) != {"symbol", "arity"}:
-                raise ValueError(f"bad signature entry: {item!r}")
+                raise FormatError(f"bad signature entry: {item!r}")
             entries.append((item["symbol"], item["arity"]))
         return cls(Signature(entries), doc["size"], doc["ops"])
 
@@ -165,11 +221,30 @@ class FiniteAlgebra:
 
 def _nest(table, arity: int, size: int):
     if arity == 0:
-        return table
+        return table[0]
     if arity == 1:
         return list(table)
     step = size ** (arity - 1)
     return [_nest(table[i * step : (i + 1) * step], arity - 1, size) for i in range(size)]
+
+
+def _images(X: FiniteAlgebra, elements: Sequence[int]) -> dict[str, tuple[int, ...]]:
+    """Each symbol's values on all tuples of ``elements``, in row-major order.
+
+    Entry j of a symbol's table is its value on the j-th tuple of positions
+    into ``elements``: the projection tables pulled back along ``elements``.
+    """
+    out = {}
+    for name, arity in X.sig:
+        positions = projection_tables((len(elements),) * arity)
+        out[name] = X.apply_tables(name, [tuple(map(elements.__getitem__, p)) for p in positions])
+    return out
+
+
+def _algebra(sig: Signature, size: int, tables: Mapping[str, Sequence[int]]) -> FiniteAlgebra:
+    """The algebra with the given row-major tables, constants as one-entry tables."""
+    ops = {name: tables[name][0] if arity == 0 else tables[name] for name, arity in sig}
+    return FiniteAlgebra(sig, size, ops)
 
 
 @dataclass(frozen=True)
@@ -230,13 +305,15 @@ def is_homomorphism(phi: CarrierMap, X: FiniteAlgebra, Y: FiniteAlgebra) -> Chec
         raise SignatureMismatchError("algebras have different signatures")
     if phi.source_size != X.size or phi.target_size != Y.size:
         raise SizeMismatchError("map does not fit between the carriers")
+    source = _images(X, range(X.size))
+    target = _images(Y, phi.values)
     best = None
     for idx, (name, arity) in enumerate(X.sig):
-        for args in itertools.product(range(X.size), repeat=arity):
-            if phi(X.apply(name, args)) != Y.apply(name, tuple(phi(a) for a in args)):
-                if best is None or (args, idx) < best[:2]:
-                    best = (args, idx, name)
-                break
+        j = _first_difference(map(phi.values.__getitem__, source[name]), target[name])
+        if j is not None:
+            args = tuple(p[j] for p in projection_tables((X.size,) * arity))
+            if best is None or (args, idx) < best[:2]:
+                best = (args, idx, name)
     if best is None:
         return Check(True)
     return Check(False, (best[2], best[0]))
@@ -249,11 +326,11 @@ def holds(X: FiniteAlgebra, p: Term, q: Term) -> Check:
     assignment, as a dict ``{variable index: element}``.
     """
     variables = sorted(vars_of(p) | vars_of(q))
-    for values in itertools.product(range(X.size), repeat=len(variables)):
-        assignment = dict(zip(variables, values))
-        if evaluate(p, X, assignment) != evaluate(q, X, assignment):
-            return Check(False, assignment)
-    return Check(True)
+    env = dict(zip(variables, projection_tables((X.size,) * len(variables))))
+    j = _first_difference(term_table(p, X, env), term_table(q, X, env))
+    if j is None:
+        return Check(True)
+    return Check(False, {v: env[v][j] for v in variables})
 
 
 def in_equational_class(X: FiniteAlgebra, identities: Iterable[tuple[Term, Term]]) -> Check:
@@ -286,36 +363,18 @@ def subalgebra_generated(X: FiniteAlgebra, seed: Iterable[int]) -> Subalgebra:
         if not 0 <= x < X.size:
             raise OutOfCarrierError(f"seed element {x} outside carrier of size {X.size}")
         current.add(x)
-    for name, arity in X.sig:
-        if arity == 0:
-            current.add(X.apply(name, ()))
-    changed = True
-    while changed:
-        changed = False
-        snapshot = sorted(current)
-        for name, arity in X.sig:
-            if arity == 0:
-                continue
-            for args in itertools.product(snapshot, repeat=arity):
-                value = X.apply(name, args)
-                if value not in current:
-                    current.add(value)
-                    changed = True
-    members = tuple(sorted(current))
+    while True:
+        members = tuple(sorted(current))
+        images = _images(X, members)
+        found = set().union(*images.values())
+        if found <= current:
+            break
+        current |= found
     if not members:
         return Subalgebra((), None)
     position = {x: i for i, x in enumerate(members)}
-    ops: dict[str, Any] = {}
-    m = len(members)
-    for name, arity in X.sig:
-        if arity == 0:
-            ops[name] = position[X.apply(name, ())]
-        else:
-            ops[name] = tuple(
-                position[X.apply(name, tuple(members[i] for i in args))]
-                for args in itertools.product(range(m), repeat=arity)
-            )
-    return Subalgebra(members, FiniteAlgebra(X.sig, m, ops))
+    tables = {name: tuple(map(position.__getitem__, t)) for name, t in images.items()}
+    return Subalgebra(members, _algebra(X.sig, len(members), tables))
 
 
 def product(
@@ -337,48 +396,16 @@ def product(
     elif sig is None:
         sig = Signature([])
     sizes = [f.size for f in factors]
-    total = 1
-    for k in sizes:
-        total *= k
+    total = math.prod(sizes)
     if total > carrier_cap:
         raise SizeCapError(f"product carrier {total} exceeds cap {carrier_cap}")
-
-    def decode(index: int) -> tuple[int, ...]:
-        out = []
-        for k in reversed(sizes):
-            out.append(index % k)
-            index //= k
-        return tuple(reversed(out))
-
-    def encode(tup: Sequence[int]) -> int:
-        index = 0
-        for k, x in zip(sizes, tup):
-            index = index * k + x
-        return index
-
-    ops: dict[str, Any] = {}
-    for name, arity in sig:
-        if arity == 0:
-            ops[name] = encode([f.apply(name, ()) for f in factors])
-        else:
-            table = []
-            for args in itertools.product(range(total), repeat=arity):
-                decoded = [decode(a) for a in args]
-                table.append(
-                    encode(
-                        [
-                            f.apply(name, tuple(d[i] for d in decoded))
-                            for i, f in enumerate(factors)
-                        ]
-                    )
-                )
-            ops[name] = tuple(table)
-    algebra = FiniteAlgebra(sig, total, ops)
-    projections = [
-        CarrierMap(total, sizes[i], tuple(decode(x)[i] for x in range(total)))
-        for i in range(len(factors))
-    ]
-    return algebra, projections
+    if not factors:
+        return _algebra(sig, 1, {name: (0,) for name, _ in sig}), []
+    coordinates = projection_tables(sizes)
+    images = [_images(f, c) for f, c in zip(factors, coordinates)]
+    tables = {name: _encode(sizes, [im[name] for im in images]) for name, _ in sig}
+    projections = [CarrierMap(total, k, c) for k, c in zip(sizes, coordinates)]
+    return _algebra(sig, total, tables), projections
 
 
 def quotient(X: FiniteAlgebra, part: Partition) -> tuple[FiniteAlgebra, CarrierMap]:
@@ -392,20 +419,10 @@ def quotient(X: FiniteAlgebra, part: Partition) -> tuple[FiniteAlgebra, CarrierM
     verdict = is_congruence_via_translations(X, part)
     if not verdict:
         raise NotACongruenceError(verdict.witness)
-    blocks = part.blocks()
-    reps = [block[0] for block in blocks]
-    m = len(blocks)
-    ops: dict[str, Any] = {}
-    for name, arity in X.sig:
-        if arity == 0:
-            ops[name] = part.block_of[X.apply(name, ())]
-        else:
-            ops[name] = tuple(
-                part.block_of[X.apply(name, tuple(reps[b] for b in args))]
-                for args in itertools.product(range(m), repeat=arity)
-            )
-    qmap = CarrierMap(X.size, m, part.block_of)
-    return FiniteAlgebra(X.sig, m, ops), qmap
+    reps = [block[0] for block in part.blocks()]
+    block_of = part.block_of
+    tables = {name: tuple(map(block_of.__getitem__, t)) for name, t in _images(X, reps).items()}
+    return _algebra(X.sig, len(reps), tables), CarrierMap(X.size, len(reps), block_of)
 
 
 def diagonal_hom(
@@ -426,14 +443,6 @@ def diagonal_hom(
         if not is_homomorphism(phi, X, Y):
             raise ValueError("diagonal_hom requires homomorphisms")
     prod, _ = product(list(targets), carrier_cap=carrier_cap)
-    sizes = [Y.size for Y in targets]
-
-    def encode(tup):
-        index = 0
-        for k, x in zip(sizes, tup):
-            index = index * k + x
-        return index
-
-    values = tuple(encode([phi(x) for phi in maps]) for x in range(X.size))
-    diag = CarrierMap(X.size, prod.size, values)
+    values = _encode([Y.size for Y in targets], [phi.values for phi in maps])
+    diag = CarrierMap(X.size, prod.size, tuple(values))
     return diag, prod, diag.is_injective()

@@ -4,7 +4,7 @@ Algebras are named built-in fixtures (Z2..Z8, V4, SL2, Sinf2..Sinf8) or
 paths to algebra JSON files.  Term, map, partition, and seed arguments may
 be given inline or as ``@path`` to read from a file.  ``--json`` emits a
 versioned machine-readable document (schema 1) whose bytes are stable
-across runs and thread counts.
+across runs.  ``--threads`` is accepted and reserved; it has no effect.
 
 Exit codes: 0 success/PASS, 1 semantic FAIL, 2 usage or parse error,
 3 cap exceeded.
@@ -29,7 +29,8 @@ from .algebra import (
 from .congruences import PARTITION_ENUM_CAP, all_congruences, congruence_generated
 from .errors import NotACongruenceError, SizeCapError, UAlgError
 from .factorization import enumerate_factorizations, greatest_factorization, least_factorization, precedes
-from .malcev import CLONE_CAP, clone_ternary_terms, find_malcev_operations, group_malcev, has_malcev_term
+from .malcev import CLONE_CAP, clone_ternary_terms, find_malcev_operations, group_malcev
+from .malcev import has_malcev_term, table_is_malcev
 from .partitions import Partition
 from .terms import classify_identity, evaluate, format_term, parse_term
 from .translations import SEMIGROUP_HARD_CAP, principal_translations, translation_semigroup
@@ -43,7 +44,6 @@ class Workspace:
     def __init__(self, args):
         self.json = args.json
         self.oracle = args.oracle
-        self.threads = args.threads
         self.max_semigroup = args.max_semigroup
         self.max_partitions = args.max_partitions
         self.max_clone = args.max_clone
@@ -69,7 +69,7 @@ def _parse_int_list(text: str, what: str) -> list[int]:
         data = json.loads(_read_arg(text))
     except json.JSONDecodeError as exc:
         raise UAlgError(f"bad {what}: {exc}") from None
-    if not isinstance(data, list) or not all(isinstance(x, int) for x in data):
+    if not isinstance(data, list) or not all(type(x) is int for x in data):
         raise UAlgError(f"bad {what}: expected a JSON array of integers")
     return data
 
@@ -257,7 +257,7 @@ def cmd_quotient(ws: Workspace, args) -> tuple[int, dict, list[str]]:
 
 def cmd_congruences(ws: Workspace, args) -> tuple[int, dict, list[str]]:
     X = ws.algebra(args.algebra)
-    congruences = all_congruences(X, max_partitions=ws.max_partitions, workers=ws.threads)
+    congruences = all_congruences(X, max_partitions=ws.max_partitions)
     payload = {
         "algebra": args.algebra,
         "count": len(congruences),
@@ -273,7 +273,7 @@ def cmd_gen_congruence(ws: Workspace, args) -> tuple[int, dict, list[str]]:
     except json.JSONDecodeError as exc:
         raise UAlgError(f"bad pairs: {exc}") from None
     if not isinstance(data, list) or not all(
-        isinstance(p, list) and len(p) == 2 and all(isinstance(x, int) for x in p) for p in data
+        isinstance(p, list) and len(p) == 2 and all(type(x) is int for x in p) for p in data
     ):
         raise UAlgError("bad pairs: expected a JSON array of [a, b] pairs")
     result = congruence_generated(X, [tuple(p) for p in data])
@@ -338,14 +338,14 @@ def cmd_malcev(ws: Workspace, args) -> tuple[int, dict, list[str]]:
 def cmd_clone(ws: Workspace, args) -> tuple[int, dict, list[str]]:
     X = ws.algebra(args.algebra)
     clone = clone_ternary_terms(X, cap=ws.max_clone)
-    witness = has_malcev_term(X, cap=ws.max_clone)
+    witness = next((t for t in clone if table_is_malcev(t, X.size)), None)
     payload = {
         "algebra": args.algebra,
         "count": len(clone),
-        "has_malcev_term": witness.ok,
-        "witness": list(witness.witness) if witness.ok else None,
+        "has_malcev_term": witness is not None,
+        "witness": list(witness) if witness is not None else None,
     }
-    human = [f"ternary term operations: {len(clone)}", f"has_malcev_term: {witness.ok}"]
+    human = [f"ternary term operations: {len(clone)}", f"has_malcev_term: {witness is not None}"]
     return 0, payload, human
 
 
@@ -420,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit machine-readable JSON")
     common.add_argument("--oracle", action="store_true", help="run brute-force cross-checks")
-    common.add_argument("--threads", type=int, default=1, help="worker threads for parallel paths")
+    common.add_argument("--threads", type=int, default=1, help="reserved; has no effect")
     common.add_argument("--max-semigroup", type=int, default=SEMIGROUP_HARD_CAP)
     common.add_argument("--max-partitions", type=int, default=PARTITION_ENUM_CAP)
     common.add_argument("--max-clone", type=int, default=CLONE_CAP)

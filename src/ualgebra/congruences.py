@@ -9,13 +9,11 @@ generation and refinement algorithms.
 """
 
 import itertools
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable
 
 from .check import Check
 from .errors import NotACongruenceError, OutOfCarrierError, SizeCapError, SizeMismatchError
-from .partitions import Partition, all_partitions, bell_number
+from .partitions import Partition, _closure, all_partitions, bell_number
 from .translations import principal_translations, translation_semigroup
 
 PARTITION_ENUM_CAP = 4140  # Bell(8)
@@ -78,35 +76,14 @@ def congruence_generated(X, pairs: Iterable[tuple[int, int]]) -> Partition:
     Union-find with path compression; every merge is pushed through each
     principal translation until saturated.
     """
-    k = X.size
-    parent = list(range(k))
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    tables = [t.table for t in principal_translations(X)]
-    queue = deque()
+    pairs = list(pairs)
     for a, b in pairs:
-        if not (0 <= a < k and 0 <= b < k):
-            raise OutOfCarrierError(f"pair ({a},{b}) outside carrier of size {k}")
-        queue.append((a, b))
-    while queue:
-        a, b = queue.popleft()
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            continue
-        parent[rb] = ra
-        for table in tables:
-            queue.append((table[a], table[b]))
-    return Partition([find(x) for x in range(k)])
+        if not (0 <= a < X.size and 0 <= b < X.size):
+            raise OutOfCarrierError(f"pair ({a},{b}) outside carrier of size {X.size}")
+    return _closure(X.size, pairs, [t.table for t in principal_translations(X)])
 
 
-def all_congruences(X, max_partitions: int = PARTITION_ENUM_CAP, workers: int = 1) -> list[Partition]:
+def all_congruences(X, max_partitions: int = PARTITION_ENUM_CAP) -> list[Partition]:
     """Every congruence of X, in canonical partition order.
 
     Filters all partitions of the carrier, so the carrier must be small
@@ -117,12 +94,7 @@ def all_congruences(X, max_partitions: int = PARTITION_ENUM_CAP, workers: int = 
         raise SizeCapError(
             f"carrier of size {X.size} has {total} partitions, cap {max_partitions}"
         )
-    parts = all_partitions(X.size)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            flags = list(pool.map(lambda p: bool(is_congruence_direct(X, p)), parts))
-        return [p for p, ok in zip(all_partitions(X.size), flags) if ok]
-    return [p for p in parts if is_congruence_direct(X, p)]
+    return [p for p in all_partitions(X.size) if is_congruence_direct(X, p)]
 
 
 def largest_congruence_below(X, part: Partition, semigroup_cap: int | None = None) -> Partition:

@@ -15,6 +15,10 @@ class ParseError(UAlgError):
         super().__init__(message)
 
 
+class FormatError(UAlgError, ValueError):
+    """Malformed algebra or signature data; JSON booleans are not integers."""
+
+
 class DuplicateSymbolError(UAlgError):
     pass
 

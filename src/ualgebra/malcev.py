@@ -13,7 +13,8 @@ from typing import Callable, NamedTuple
 from .check import Check
 from .errors import ArityMismatchError, NotAGroupError, SizeCapError
 from .fixtures import group_axioms
-from .algebra import FiniteAlgebra, in_equational_class
+from .algebra import FiniteAlgebra, in_equational_class, projection_tables
+from .terms import parse_term, term_table
 
 CLONE_CAP = 100_000  # ternary functions
 
@@ -79,10 +80,8 @@ def group_malcev(G: FiniteAlgebra) -> tuple[int, ...]:
     if not verdict:
         p, q, assignment = verdict.witness
         raise NotAGroupError(f"group axiom fails at {assignment}")
-    return tuple(
-        G.apply("m", (x, G.apply("m", (G.apply("i", (y,)), z))))
-        for x, y, z in itertools.product(range(G.size), repeat=3)
-    )
+    x, y, z = projection_tables((G.size,) * 3)
+    return term_table(parse_term("m(v1,m(i(v2),v3))", G.sig), G, {1: x, 2: y, 3: z})
 
 
 # ---------------------------------------------------------------------------
@@ -90,52 +89,31 @@ def group_malcev(G: FiniteAlgebra) -> tuple[int, ...]:
 
 
 def _clone_closure(
-    X: FiniteAlgebra, cap: int, stop: Callable[[bytes], bool] | None = None
-) -> tuple[list[bytes], bytes | None]:
+    X: FiniteAlgebra, cap: int, stop: Callable[[tuple[int, ...]], bool] | None = None
+) -> tuple[list[tuple[int, ...]], tuple[int, ...] | None]:
     """Close the three projections (and constants) under the operations of X.
 
-    Functions X^3 -> X are flat length-k^3 byte tables.  Breadth-first, so
+    Functions X^3 -> X are their flat length-k^3 tables.  Breadth-first, so
     output order is deterministic.  If ``stop`` accepts a table, closure
     halts early and that table is returned as the witness.
     """
-    k = X.size
-    k3 = k**3
-    seeds: list[bytes] = []
-    seen: set[bytes] = set()
-    points = list(itertools.product(range(k), repeat=3))
-    for proj in range(3):
-        table = bytes(p[proj] for p in points)
-        if table not in seen:
-            seen.add(table)
-            seeds.append(table)
-    for name, arity in X.sig:
-        if arity == 0:
-            table = bytes([X.apply(name, ())]) * k3
-            if table not in seen:
-                seen.add(table)
-                seeds.append(table)
-    known = list(seeds)
+    k3 = X.size**3
+    seeds = projection_tables((X.size,) * 3)
+    seeds += [X.apply_tables(name, ()) * k3 for name, arity in X.sig if arity == 0]
+    known = list(dict.fromkeys(seeds))
+    seen = set(known)
     for table in known:
         if stop is not None and stop(table):
             return known, table
-    flat_ops = [
-        (X.table(name), arity) for name, arity in X.sig if arity >= 1
-    ]
+    ops = [(name, arity) for name, arity in X.sig if arity >= 1]
     start = 0
     while start < len(known):
         end = len(known)
-        for op_table, arity in flat_ops:
+        for name, arity in ops:
             for combo in itertools.product(range(end), repeat=arity):
                 if max(combo) < start:
                     continue  # all arguments old: already generated
-                args = [known[i] for i in combo]
-                out = bytearray(k3)
-                for pos in range(k3):
-                    index = 0
-                    for arg in args:
-                        index = index * k + arg[pos]
-                    out[pos] = op_table[index]
-                table = bytes(out)
+                table = X.apply_tables(name, [known[i] for i in combo])
                 if table in seen:
                     continue
                 if len(seen) >= cap:
@@ -151,7 +129,7 @@ def _clone_closure(
 def clone_ternary_terms(X: FiniteAlgebra, cap: int = CLONE_CAP) -> list[tuple[int, ...]]:
     """All functions X^3 -> X induced by ternary terms, in discovery order."""
     known, _ = _clone_closure(X, cap)
-    return [tuple(t) for t in known]
+    return known
 
 
 def has_malcev_term(X: FiniteAlgebra, cap: int = CLONE_CAP) -> Check:
@@ -164,4 +142,4 @@ def has_malcev_term(X: FiniteAlgebra, cap: int = CLONE_CAP) -> Check:
     known, witness = _clone_closure(X, cap, stop=lambda t: table_is_malcev(t, k))
     if witness is None:
         return Check(False)
-    return Check(True, tuple(witness))
+    return Check(True, witness)

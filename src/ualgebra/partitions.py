@@ -6,6 +6,7 @@ in order of least representative.  Text form joins blocks with ``|`` and
 elements with ``,``: ``"0,2|1,3"``.
 """
 
+from collections import deque
 from typing import Hashable, Iterable, Iterator, Sequence
 
 from .errors import PartitionError, SizeMismatchError
@@ -114,21 +115,11 @@ class Partition:
     @classmethod
     def from_pairs(cls, size: int, pairs: Iterable[tuple[int, int]]) -> "Partition":
         """Equivalence closure of the given pairs (union-find)."""
-        parent = list(range(size))
-
-        def find(x: int) -> int:
-            root = x
-            while parent[root] != root:
-                root = parent[root]
-            while parent[x] != root:
-                parent[x], x = root, parent[x]
-            return root
-
+        pairs = list(pairs)
         for a, b in pairs:
             if not (0 <= a < size and 0 <= b < size):
                 raise PartitionError(f"pair ({a},{b}) out of range for size {size}")
-            parent[find(a)] = find(b)
-        return cls([find(x) for x in range(size)])
+        return _closure(size, pairs)
 
     @classmethod
     def singletons(cls, size: int) -> "Partition":
@@ -146,6 +137,36 @@ class Partition:
 
     def __repr__(self) -> str:
         return f"Partition({self.format()!r})"
+
+
+def _closure(
+    size: int, pairs: Iterable[tuple[int, int]], tables: Sequence[Sequence[int]] = ()
+) -> Partition:
+    """Least equivalence containing ``pairs`` and closed under every self-map in ``tables``.
+
+    Union-find with path compression; each merge of a and b also queues the
+    pair (t[a], t[b]) for every table t.  Pairs must lie in range(size).
+    """
+    parent = list(range(size))
+
+    def find(x: int) -> int:
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    queue = deque(pairs)
+    while queue:
+        a, b = queue.popleft()
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            continue
+        parent[rb] = ra
+        for table in tables:
+            queue.append((table[a], table[b]))
+    return Partition([find(x) for x in range(size)])
 
 
 def all_partitions(n: int) -> Iterator[Partition]:

@@ -7,7 +7,7 @@ signature ``"m/2 i/1 e/0"``.
 import re
 from typing import Iterable, Iterator
 
-from .errors import DuplicateSymbolError, ParseError, UnknownSymbolError
+from .errors import DuplicateSymbolError, FormatError, ParseError, UnknownSymbolError
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _ENTRY_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)/([0-9]+)")
@@ -24,9 +24,9 @@ class Signature:
         index: dict[str, int] = {}
         for name, n in entries:
             if not isinstance(name, str) or not _NAME_RE.fullmatch(name):
-                raise ValueError(f"bad symbol name: {name!r}")
-            if not isinstance(n, int) or n < 0:
-                raise ValueError(f"arity of '{name}' must be a nonnegative integer, got {n!r}")
+                raise FormatError(f"bad symbol name: {name!r}")
+            if type(n) is not int or n < 0:
+                raise FormatError(f"arity of '{name}' must be a nonnegative integer, got {n!r}")
             if name in arity:
                 raise DuplicateSymbolError(f"duplicate symbol '{name}'")
             index[name] = len(symbols)

@@ -8,8 +8,7 @@ an arity-0 symbol.  ``parse_term(format_term(t), sig)`` returns ``t``.
 import enum
 import re
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Mapping, Union
+from typing import Mapping, Sequence, Union
 
 from .errors import (
     ArityMismatchError,
@@ -87,7 +86,6 @@ def parse_term(text: str, sig: Signature) -> Term:
     term, nxt = _parse_term(tokens, 0, sig)
     if nxt != len(tokens):
         raise ParseError("unexpected trailing input", tokens[nxt][2])
-    occurrence_profile(term)  # populate the occurrence cache up front
     return term
 
 
@@ -146,9 +144,8 @@ def format_term(t: Term) -> str:
 # variables and occurrence counts
 
 
-@lru_cache(maxsize=None)
-def occurrence_profile(t: Term) -> Mapping[int, int]:
-    """Variable index -> number of occurrences in ``t``.  Cached; treat as read-only."""
+def occurrence_profile(t: Term) -> dict[int, int]:
+    """Variable index -> number of occurrences in ``t``, as a fresh dict."""
     if isinstance(t, Variable):
         return {t.index: 1}
     if isinstance(t, Constant):
@@ -174,17 +171,34 @@ def occurrences(t: Term, v: int) -> int:
 # evaluation
 
 
-def _check_symbols(t: Term, sig: Signature) -> None:
-    if isinstance(t, Constant):
-        if t.symbol not in sig or sig.arity(t.symbol) != 0:
-            raise SignatureMismatchError(f"algebra signature has no constant '{t.symbol}'")
-    elif isinstance(t, Apply):
-        if t.symbol not in sig or sig.arity(t.symbol) != len(t.children):
+def term_table(t: Term, algebra, env: Mapping[int, Sequence[int]]) -> Sequence[int]:
+    """Values of ``t`` in ``algebra`` under many assignments at once.
+
+    ``env`` maps each variable of ``t`` to a table of carrier elements, all
+    tables of one length n (n is 1 when ``env`` is empty).  Entry j of the
+    result is the value of ``t`` when every variable takes entry j of its
+    table.  Every symbol of ``t`` must exist in the algebra's signature with
+    matching arity.
+    """
+    sig = algebra.sig
+    n = len(next(iter(env.values()))) if env else 1
+
+    def table(u):
+        if isinstance(u, Variable):
+            try:
+                return env[u.index]
+            except KeyError:
+                raise UnboundVariableError(f"no value for variable v{u.index}") from None
+        children = u.children if isinstance(u, Apply) else ()
+        if u.symbol not in sig or sig.arity(u.symbol) != len(children):
             raise SignatureMismatchError(
-                f"algebra signature has no {len(t.children)}-ary symbol '{t.symbol}'"
+                f"algebra signature has no {len(children)}-ary symbol '{u.symbol}'"
             )
-        for child in t.children:
-            _check_symbols(child, sig)
+        if not children:
+            return algebra.apply_tables(u.symbol, ()) * n
+        return algebra.apply_tables(u.symbol, [table(c) for c in children])
+
+    return table(t)
 
 
 def evaluate(t: Term, algebra, assignment: Mapping[int, int]) -> int:
@@ -193,22 +207,14 @@ def evaluate(t: Term, algebra, assignment: Mapping[int, int]) -> int:
     Every variable of ``t`` must be assigned; every symbol of ``t`` must exist
     in the algebra's signature with matching arity.
     """
-    _check_symbols(t, algebra.sig)
-    return _eval(t, algebra, assignment)
-
-
-def _eval(t, algebra, assignment):
-    if isinstance(t, Variable):
-        try:
-            value = assignment[t.index]
-        except KeyError:
-            raise UnboundVariableError(f"no value for variable v{t.index}") from None
-        if not 0 <= value < algebra.size:
-            raise OutOfCarrierError(f"v{t.index} assigned {value}, carrier size {algebra.size}")
-        return value
-    if isinstance(t, Constant):
-        return algebra.apply(t.symbol, ())
-    return algebra.apply(t.symbol, tuple(_eval(c, algebra, assignment) for c in t.children))
+    env = {}
+    for v in sorted(vars_of(t)):
+        if v in assignment:
+            value = assignment[v]
+            if not 0 <= value < algebra.size:
+                raise OutOfCarrierError(f"v{v} assigned {value}, carrier size {algebra.size}")
+            env[v] = (value,)
+    return term_table(t, algebra, env)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -51,9 +51,9 @@ class Translation:
 
 
 def _descriptor_table(X, desc: PrincipalDescriptor) -> tuple[int, ...]:
-    before = desc.fixed[: desc.slot - 1]
-    after = desc.fixed[desc.slot - 1 :]
-    return tuple(X.apply(desc.symbol, before + (x,) + after) for x in range(X.size))
+    args = [(c,) * X.size for c in desc.fixed]
+    args.insert(desc.slot - 1, tuple(range(X.size)))
+    return X.apply_tables(desc.symbol, args)
 
 
 def principal_translations(X) -> list[Translation]:

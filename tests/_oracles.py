@@ -3,12 +3,15 @@
 Everything here recomputes results from first principles with naive loops,
 deliberately sharing no algorithmic route with the library: set partitions
 are enumerated recursively (not as restricted-growth strings), semigroup
-and clone closures run as repeated full passes over raw tables, and the
-largest-congruence oracle filters the whole congruence lattice.
+and clone closures run as repeated full passes over raw tables, the
+largest-congruence oracle filters the whole congruence lattice, and terms
+are evaluated one assignment at a time by recursion.
 """
 
 import itertools
 import random
+
+from ualgebra import Constant, Variable
 
 
 def naive_partitions(n):
@@ -109,6 +112,52 @@ def naive_clone_tables(X):
         if not new:
             return tables
         tables |= new
+
+
+def naive_evaluate(t, X, assignment):
+    """Value of term ``t`` under one assignment, by recursion over ``X.apply``."""
+    if isinstance(t, Variable):
+        return assignment[t.index]
+    if isinstance(t, Constant):
+        return X.apply(t.symbol, ())
+    return X.apply(t.symbol, tuple(naive_evaluate(c, X, assignment) for c in t.children))
+
+
+def naive_holds(X, p, q, variables):
+    """First assignment (lexicographic over sorted variables) where p and q differ, else None."""
+    for values in itertools.product(range(X.size), repeat=len(variables)):
+        assignment = dict(zip(variables, values))
+        if naive_evaluate(p, X, assignment) != naive_evaluate(q, X, assignment):
+            return assignment
+    return None
+
+
+def naive_product_table(factors, name, arity):
+    """Flat table of ``name`` on the product, one ``X.apply`` per factor and tuple.
+
+    Product element x encodes the tuple of factor elements with the first
+    factor most significant.
+    """
+    sizes = [f.size for f in factors]
+    total = 1
+    for k in sizes:
+        total *= k
+
+    def decode(x):
+        out = []
+        for k in reversed(sizes):
+            x, digit = divmod(x, k)
+            out.append(digit)
+        return out[::-1]
+
+    table = []
+    for args in itertools.product(range(total), repeat=arity):
+        coords = [decode(a) for a in args]
+        value = 0
+        for i, (f, k) in enumerate(zip(factors, sizes)):
+            value = value * k + f.apply(name, tuple(c[i] for c in coords))
+        table.append(value)
+    return table
 
 
 def naive_is_malcev_table(table, k):

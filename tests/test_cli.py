@@ -194,3 +194,33 @@ def test_human_output_readable():
     assert "|S| = 2" in out
     assert "e ⇒ [0,1]" in out  # word ⇒ table dump lines
     assert "m@1(1) ⇒ [1,0]" in out
+
+
+def test_clone_witness_matches_has_malcev_term():
+    from ualgebra import cyclic_group, has_malcev_term
+
+    code, doc = run_json(["clone", "Z3"])
+    assert code == 0 and doc["witness"] == list(has_malcev_term(cyclic_group(3)).witness)
+
+
+def test_json_booleans_rejected_in_algebra_files(tmp_path, capsys):
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps(
+        {"signature": [{"symbol": "f", "arity": 1}], "size": True, "ops": {"f": [False]}}
+    ))
+    code, doc = run_json(["eval", str(path), "f(v1)", "v1=0"])
+    assert code == 2 and doc["error"]["type"] == "FormatError"
+    path.write_text(json.dumps(
+        {"signature": [{"symbol": "f", "arity": True}], "size": 2, "ops": {"f": [0, 1]}}
+    ))
+    code, doc = run_json(["eval", str(path), "f(v1)", "v1=0"])
+    assert code == 2 and doc["error"]["type"] == "FormatError"
+    capsys.readouterr()
+
+
+def test_json_booleans_rejected_in_integer_arguments(capsys):
+    code, doc = run_json(["hom-check", "Z2", "Z2", "[false,true]"])
+    assert code == 2 and doc["error"]["type"] == "UAlgError"
+    code, doc = run_json(["gen-congruence", "Z4", "[[true,2]]"])
+    assert code == 2 and doc["error"]["type"] == "UAlgError"
+    capsys.readouterr()

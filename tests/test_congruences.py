@@ -120,11 +120,6 @@ def test_all_congruences_cap():
         all_congruences(cyclic_group(6), max_partitions=100)
 
 
-def test_all_congruences_threaded_matches_sequential():
-    for X in (Z4, Z6, klein_four()):
-        assert all_congruences(X, workers=4) == all_congruences(X)
-
-
 def test_largest_congruence_below_examples():
     assert largest_congruence_below(Z4, Partition.parse("0|1,2,3")) == Partition.singletons(4)
     assert largest_congruence_below(Z4, Partition.parse("0,2|1,3")) == Partition.parse("0,2|1,3")

@@ -169,3 +169,12 @@ def test_linear_implies_linear_quadratic_condition():
         if classify_identity(p, q) is PreservationClass.LINEAR:
             for v in vars_of(p) | vars_of(q):
                 assert occurrences(p, v) <= 1 and occurrences(q, v) <= 2
+
+
+def test_occurrence_profile_results_are_not_shared():
+    from ualgebra.terms import occurrence_profile
+
+    t = parse_term("m(v1,v1)", GROUP_SIG)
+    occurrence_profile(t)[1] = 1
+    assert occurrences(t, 1) == 2
+    assert classify_identity(t, parse_term("v1", GROUP_SIG)) is PreservationClass.LINEAR_QUADRATIC
