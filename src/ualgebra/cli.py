@@ -5,6 +5,7 @@ paths to algebra JSON files.  Term, map, partition, and seed arguments may
 be given inline or as ``@path`` to read from a file.  ``--json`` emits a
 versioned machine-readable document (schema 1) whose bytes are stable
 across runs.  ``--threads`` is accepted and reserved; it has no effect.
+``--max-semigroup`` caps only ``translations``.
 
 Exit codes: 0 success/PASS, 1 semantic FAIL, 2 usage or parse error,
 3 cap exceeded.
@@ -82,6 +83,10 @@ def _parse_map(text: str, source_size: int) -> CarrierMap:
     return CarrierMap(source_size, target, tuple(values))
 
 
+def _is_decimal(text: str) -> bool:
+    return text.isascii() and text.isdigit()
+
+
 def _parse_assignment(text: str) -> dict[int, int]:
     text = _read_arg(text).strip()
     if not text:
@@ -91,10 +96,11 @@ def _parse_assignment(text: str) -> dict[int, int]:
         piece = piece.strip()
         if "=" not in piece:
             raise UAlgError(f"bad assignment entry {piece!r}, expected 'vN=value'")
-        var, value = piece.split("=", 1)
-        var = var.strip()
-        if not var.startswith("v") or not var[1:].isdigit() or var[1] == "0":
+        var, value = (part.strip() for part in piece.split("=", 1))
+        if not var.startswith("v") or not _is_decimal(var[1:]) or var[1] == "0":
             raise UAlgError(f"bad variable name {var!r} in assignment")
+        if not _is_decimal(value):
+            raise UAlgError(f"bad value in assignment entry {piece!r}, expected decimal digits")
         out[int(var[1:])] = int(value)
     return out
 
@@ -352,7 +358,7 @@ def cmd_clone(ws: Workspace, args) -> tuple[int, dict, list[str]]:
 def cmd_factorize(ws: Workspace, args) -> tuple[int, dict, list[str]]:
     X = ws.algebra(args.algebra)
     f = _parse_map(args.map, X.size)
-    least = least_factorization(X, f, semigroup_cap=ws.max_semigroup)
+    least = least_factorization(X, f)
     payload = {
         "algebra": args.algebra,
         "f": list(f.values),
@@ -421,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", help="emit machine-readable JSON")
     common.add_argument("--oracle", action="store_true", help="run brute-force cross-checks")
     common.add_argument("--threads", type=int, default=1, help="reserved; has no effect")
-    common.add_argument("--max-semigroup", type=int, default=SEMIGROUP_HARD_CAP)
+    common.add_argument("--max-semigroup", type=int, default=SEMIGROUP_HARD_CAP, help="caps |S| in translations")
     common.add_argument("--max-partitions", type=int, default=PARTITION_ENUM_CAP)
     common.add_argument("--max-clone", type=int, default=CLONE_CAP)
 

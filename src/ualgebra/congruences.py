@@ -14,7 +14,7 @@ from typing import Iterable
 from .check import Check
 from .errors import NotACongruenceError, OutOfCarrierError, SizeCapError, SizeMismatchError
 from .partitions import Partition, _closure, all_partitions, bell_number
-from .translations import principal_translations, translation_semigroup
+from .translations import principal_translations
 
 PARTITION_ENUM_CAP = 4140  # Bell(8)
 
@@ -97,19 +97,24 @@ def all_congruences(X, max_partitions: int = PARTITION_ENUM_CAP) -> list[Partiti
     return [p for p in all_partitions(X.size) if is_congruence_direct(X, p)]
 
 
-def largest_congruence_below(X, part: Partition, semigroup_cap: int | None = None) -> Partition:
+def largest_congruence_below(X, part: Partition) -> Partition:
     """The unique largest congruence refining ``part``.
 
-    Pullback along the translation semigroup: x and y are identified iff
-    σ(x) and σ(y) are part-equivalent for every translation σ.
+    Moore refinement over the principal translations: relabel each x by its
+    block and the blocks of its principal translates until the number of
+    blocks stops growing.  The fixpoint refines ``part`` and is closed under
+    every principal translation, so it is a congruence; every congruence
+    below ``part`` refines each round, so the fixpoint is the largest.
     """
     if part.size != X.size:
         raise SizeMismatchError(f"partition size {part.size} != carrier size {X.size}")
-    semigroup = translation_semigroup(X, cap=semigroup_cap)
-    block = part.block_of
-    return Partition(
-        [tuple(block[t.table[x]] for t in semigroup) for x in range(X.size)]
-    )
+    tables = [t.table for t in principal_translations(X)]
+    while True:
+        block = part.block_of
+        finer = Partition(list(zip(block, *([block[v] for v in t] for t in tables))))
+        if finer.num_blocks == part.num_blocks:
+            return part
+        part = finer
 
 
 def join_congruences(X, p1: Partition, p2: Partition) -> Partition:

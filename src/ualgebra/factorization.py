@@ -4,19 +4,17 @@ A factorization is a triple (g, Y, h): g a surjective homomorphism from X
 onto an algebra Y, h a plain map Y -> Z, with f = h ∘ g.  Z carries no
 structure beyond its size.  Factorizations are preordered by (g1,Y1,h1) ≺
 (g2,Y2,h2) iff some homomorphism q: Y2 -> Y1 satisfies g1 = q ∘ g2; the
-identity factorization (id, X, f) is greatest, and the least one is built
-from the translation semigroup: group elements by the signature
-x -> (f(σ(x)) for every translation σ).
+identity factorization (id, X, f) is greatest, and the least one is the
+quotient by the largest congruence refining ker f.
 """
 
 from dataclasses import dataclass
 
 from .algebra import CarrierMap, FiniteAlgebra, is_homomorphism, kernel, quotient
 from .check import Check
-from .congruences import PARTITION_ENUM_CAP, all_congruences
+from .congruences import PARTITION_ENUM_CAP, all_congruences, largest_congruence_below
 from .errors import MismatchedBaseError, SizeMismatchError
 from .partitions import Partition
-from .translations import translation_semigroup
 
 
 @dataclass(frozen=True)
@@ -89,27 +87,20 @@ def greatest_factorization(X: FiniteAlgebra, f: CarrierMap) -> Factorization:
     return Factorization(CarrierMap.identity(X.size), X, f, f.target_size)
 
 
-def least_factorization(
-    X: FiniteAlgebra, f: CarrierMap, semigroup_cap: int | None = None
-) -> Factorization:
-    """The least factorization of f.
+def _factor_through(X: FiniteAlgebra, f: CarrierMap, theta: Partition) -> Factorization:
+    """(g, Y, h) with g the quotient map by ``theta`` and h sending each block
+    to f of its least member; ``theta`` must be a congruence refining ker f."""
+    Y, g = quotient(X, theta)
+    h = CarrierMap(Y.size, f.target_size, tuple(f(block[0]) for block in theta.blocks()))
+    return Factorization(g, Y, h, f.target_size)
 
-    Each x gets the signature (f(σ(x)) over the translation semigroup in
-    canonical order); the fibers of that signature form the kernel of g —
-    the largest congruence refining ker f.  Y is the quotient by it, and h
-    sends each block to f of its representative (the identity-translation
-    coordinate of the signature).
-    """
+
+def least_factorization(X: FiniteAlgebra, f: CarrierMap) -> Factorization:
+    """The least factorization of f: the quotient by the largest congruence
+    refining ker f, with h sending each block to f of its least member."""
     if f.source_size != X.size:
         raise SizeMismatchError("f is not a map on X's carrier")
-    semigroup = translation_semigroup(X, cap=semigroup_cap)
-    ker_g = Partition(
-        [tuple(f(t.table[x]) for t in semigroup) for x in range(X.size)]
-    )
-    Y, g = quotient(X, ker_g)
-    reps = [block[0] for block in ker_g.blocks()]
-    h = CarrierMap(Y.size, f.target_size, tuple(f(rep) for rep in reps))
-    return Factorization(g, Y, h, f.target_size)
+    return _factor_through(X, f, largest_congruence_below(X, kernel(f)))
 
 
 def enumerate_factorizations(
@@ -123,12 +114,8 @@ def enumerate_factorizations(
     if f.source_size != X.size:
         raise SizeMismatchError("f is not a map on X's carrier")
     ker_f = kernel(f)
-    out = []
-    for theta in all_congruences(X, max_partitions=max_partitions):
-        if not theta.refines(ker_f):
-            continue
-        Y, g = quotient(X, theta)
-        reps = [block[0] for block in theta.blocks()]
-        h = CarrierMap(Y.size, f.target_size, tuple(f(rep) for rep in reps))
-        out.append(Factorization(g, Y, h, f.target_size))
-    return out
+    return [
+        _factor_through(X, f, theta)
+        for theta in all_congruences(X, max_partitions=max_partitions)
+        if theta.refines(ker_f)
+    ]

@@ -77,7 +77,7 @@ def principal_translations(X) -> list[Translation]:
     return out
 
 
-def translation_semigroup(X, cap: int | None = None) -> list[Translation]:
+def translation_semigroup(X, cap: int = SEMIGROUP_HARD_CAP) -> list[Translation]:
     """Closure of the principal translations and the identity under composition.
 
     Breadth-first by word length with lexicographic tie-breaking, so every
@@ -85,9 +85,6 @@ def translation_semigroup(X, cap: int | None = None) -> list[Translation]:
     deterministic.  Deduplication is by table; words are provenance only.
     """
     k = X.size
-    if cap is None:
-        cap = k**k if k <= 12 else SEMIGROUP_HARD_CAP
-        cap = min(cap, SEMIGROUP_HARD_CAP)
     generators = principal_translations(X)
     identity = Translation(tuple(range(k)), ())
     members = [identity]

@@ -11,7 +11,7 @@ are evaluated one assignment at a time by recursion.
 import itertools
 import random
 
-from ualgebra import Constant, Variable
+from ualgebra import Constant, FiniteAlgebra, Variable
 
 
 def naive_partitions(n):
@@ -242,3 +242,22 @@ def random_term_text(sig, rng, depth):
         return pick
     args = ",".join(random_term_text(sig, rng, depth - 1) for _ in range(arity))
     return f"{pick}({args})"
+
+
+def planted_algebra(rng, k, blocks, sig):
+    """A random algebra over ``sig`` with a congruence of ``blocks`` blocks
+    built in: each operation is drawn on the blocks, and each of its values
+    lifted to a random member of the target block.  Returns the algebra and
+    the block labels of the planted congruence."""
+    labels = [x % blocks for x in range(k)]
+    rng.shuffle(labels)
+    members = [[x for x in range(k) if labels[x] == b] for b in range(blocks)]
+    ops = {}
+    for name, arity in sig:
+        top = {args: rng.randrange(blocks) for args in itertools.product(range(blocks), repeat=arity)}
+        lifted = tuple(
+            rng.choice(members[top[tuple(labels[x] for x in xs)]])
+            for xs in itertools.product(range(k), repeat=arity)
+        )
+        ops[name] = lifted if arity else lifted[0]
+    return FiniteAlgebra(sig, k, ops), labels

@@ -1,8 +1,12 @@
 import io
 import json
+import random
 from contextlib import redirect_stdout
 
+from ualgebra import CarrierMap, Signature, kernel, least_factorization
 from ualgebra.cli import main
+
+from _oracles import planted_algebra
 
 
 def run_cli(argv):
@@ -223,4 +227,31 @@ def test_json_booleans_rejected_in_integer_arguments(capsys):
     assert code == 2 and doc["error"]["type"] == "UAlgError"
     code, doc = run_json(["gen-congruence", "Z4", "[[true,2]]"])
     assert code == 2 and doc["error"]["type"] == "UAlgError"
+    capsys.readouterr()
+
+
+def test_eval_rejects_assignment_values_that_are_not_ascii_decimal(capsys):
+    for value in ("abc", "٣", "1_0"):  # ٣ is ARABIC-INDIC DIGIT THREE
+        code, doc = run_json(["eval", "Z4", "v1", f"v1={value}"])
+        assert code == 2 and doc["error"]["type"] == "UAlgError"
+        assert f"v1={value}" in doc["error"]["message"]
+    code, doc = run_json(["eval", "Z4", "v1", "v١=1"])  # variable names take ASCII digits too
+    assert code == 2 and doc["error"]["type"] == "UAlgError"
+    capsys.readouterr()
+
+
+def test_factorize_ignores_the_semigroup_cap_that_translations_keeps(tmp_path, capsys):
+    code, doc = run_json(["factorize", "Z8", "[0,1,0,1,0,1,0,1]", "--max-semigroup", "1"])
+    assert code == 0 and doc["kernel"] == "0,2,4,6|1,3,5,7"
+
+    X, planted = planted_algebra(random.Random(12), 12, 3, Signature([("f", 2)]))
+    f = [b % 2 for b in planted]
+    path = tmp_path / "planted.json"
+    path.write_text(json.dumps(X.to_json_dict()))
+    code, doc = run_json(["factorize", str(path), json.dumps(f), "--max-semigroup", "1"])
+    expected = kernel(least_factorization(X, CarrierMap(12, 2, tuple(f))).g)
+    assert code == 0 and doc["kernel"] == expected.format()
+    assert expected.num_blocks < 12
+
+    assert main(["translations", "Z3", "--max-semigroup", "1"]) == 3
     capsys.readouterr()
