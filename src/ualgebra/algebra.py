@@ -323,14 +323,24 @@ def holds(X: FiniteAlgebra, p: Term, q: Term) -> Check:
     """Check the identity ``p ≈ q`` over every assignment into ``X``.
 
     The witness on failure is the lexicographically least violating
-    assignment, as a dict ``{variable index: element}``.
+    assignment, as a dict ``{variable index: element}``.  With two or more
+    variables the term tables are built one value of the first variable at
+    a time, in order, so a failing identity stops at the first chunk that
+    differs.
     """
     variables = sorted(vars_of(p) | vars_of(q))
-    env = dict(zip(variables, projection_tables((X.size,) * len(variables))))
-    j = _first_difference(term_table(p, X, env), term_table(q, X, env))
-    if j is None:
-        return Check(True)
-    return Check(False, {v: env[v][j] for v in variables})
+    _check_length(X.size ** len(variables))
+    if len(variables) < 2:
+        chunks = [projection_tables((X.size,) * len(variables))]
+    else:
+        rest = projection_tables((X.size,) * (len(variables) - 1))
+        chunks = ([(x,) * len(rest[0]), *rest] for x in range(X.size))
+    for tables in chunks:
+        env = dict(zip(variables, tables))
+        j = _first_difference(term_table(p, X, env), term_table(q, X, env))
+        if j is not None:
+            return Check(False, {v: env[v][j] for v in variables})
+    return Check(True)
 
 
 def in_equational_class(X: FiniteAlgebra, identities: Iterable[tuple[Term, Term]]) -> Check:

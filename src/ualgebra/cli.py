@@ -5,7 +5,9 @@ paths to algebra JSON files.  Term, map, partition, and seed arguments may
 be given inline or as ``@path`` to read from a file.  ``--json`` emits a
 versioned machine-readable document (schema 1) whose bytes are stable
 across runs.  ``--threads`` is accepted and reserved; it has no effect.
-``--max-semigroup`` caps only ``translations``.
+``--max-semigroup`` caps only ``translations``.  ``--max-partitions`` caps
+the pairs a < b and the congruences found by the congruence-lattice search
+of ``congruences`` and ``factorize --oracle``.
 
 Exit codes: 0 success/PASS, 1 semantic FAIL, 2 usage or parse error,
 3 cap exceeded.
@@ -307,7 +309,7 @@ def cmd_translations(ws: Workspace, args) -> tuple[int, dict, list[str]]:
 
 def cmd_malcev(ws: Workspace, args) -> tuple[int, dict, list[str]]:
     target = args.target
-    if target.isdigit():
+    if _is_decimal(target):
         k = int(target)
         enumeration = find_malcev_operations(k, cap=ws.max_clone)
         payload = {

@@ -90,7 +90,7 @@ class Partition:
             elems = []
             for piece in chunk.split(","):
                 piece = piece.strip()
-                if not piece.isdigit():
+                if not (piece.isascii() and piece.isdigit()):
                     raise PartitionError(f"bad partition element {piece!r}")
                 elems.append(int(piece))
             blocks.append(elems)
@@ -144,10 +144,12 @@ def _closure(
 ) -> Partition:
     """Least equivalence containing ``pairs`` and closed under every self-map in ``tables``.
 
-    Union-find with path compression; each merge of a and b also queues the
-    pair (t[a], t[b]) for every table t.  Pairs must lie in range(size).
+    Union-find with path compression.  Each merge of a and b is queued, and
+    a queued pair merges (t[a], t[b]) for every table t.  Pairs must lie in
+    range(size).
     """
     parent = list(range(size))
+    blocks = size
 
     def find(x: int) -> int:
         root = x
@@ -157,15 +159,22 @@ def _closure(
             parent[x], x = root, parent[x]
         return root
 
-    queue = deque(pairs)
-    while queue:
-        a, b = queue.popleft()
+    def union(a: int, b: int) -> bool:
+        nonlocal blocks
         ra, rb = find(a), find(b)
         if ra == rb:
-            continue
+            return False
         parent[rb] = ra
+        blocks -= 1
+        return True
+
+    merged = deque((a, b) for a, b in pairs if union(a, b))
+    while merged and blocks > 1:  # one block is closed under everything
+        a, b = merged.popleft()
         for table in tables:
-            queue.append((table[a], table[b]))
+            x, y = table[a], table[b]
+            if union(x, y):
+                merged.append((x, y))
     return Partition([find(x) for x in range(size)])
 
 

@@ -240,6 +240,19 @@ def test_eval_rejects_assignment_values_that_are_not_ascii_decimal(capsys):
     capsys.readouterr()
 
 
+def test_quotient_rejects_partition_elements_that_are_not_ascii_decimal(capsys):
+    code, doc = run_json(["quotient", "Z4", "0,٢|1,3"])  # ٢ is ARABIC-INDIC DIGIT TWO
+    assert code == 2 and doc["error"]["type"] == "PartitionError"
+    capsys.readouterr()
+
+
+def test_malcev_enumerates_only_for_ascii_decimal_sizes(capsys):
+    code, doc = run_json(["malcev", "٢"])  # not a size, so read as an algebra name
+    assert code == 2 and doc["error"]["type"] == "UAlgError"
+    assert "unknown algebra" in doc["error"]["message"]
+    capsys.readouterr()
+
+
 def test_factorize_ignores_the_semigroup_cap_that_translations_keeps(tmp_path, capsys):
     code, doc = run_json(["factorize", "Z8", "[0,1,0,1,0,1,0,1]", "--max-semigroup", "1"])
     assert code == 0 and doc["kernel"] == "0,2,4,6|1,3,5,7"

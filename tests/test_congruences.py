@@ -117,7 +117,16 @@ def test_all_congruences_matches_naive_oracle():
 
 def test_all_congruences_cap():
     with pytest.raises(SizeCapError):
-        all_congruences(cyclic_group(6), max_partitions=100)
+        all_congruences(cyclic_group(6), max_partitions=10)
+
+
+def test_all_congruences_cap_names_what_it_counted():
+    with pytest.raises(SizeCapError, match=r"15 principal pairs, cap 10 \(--max-partitions\)"):
+        all_congruences(Z6, max_partitions=10)
+    consts = FiniteAlgebra(Signature([("c", 0)]), 5, {"c": 0})
+    assert len(all_congruences(consts, max_partitions=52)) == 52  # every partition; 10 pairs
+    with pytest.raises(SizeCapError, match=r"21 congruences found, cap 20 \(--max-partitions\)"):
+        all_congruences(consts, max_partitions=20)
 
 
 def test_largest_congruence_below_examples():
