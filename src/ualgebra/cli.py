@@ -424,7 +424,13 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The ``ualg`` parser: every subcommand, or only the one ``only`` names.
+
+    Both parsers print the same bytes for that command's arguments: the
+    one-command parser lists every command in its usage line, as the full
+    parser does.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit machine-readable JSON")
     common.add_argument("--oracle", action="store_true", help="run brute-force cross-checks")
@@ -434,59 +440,75 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--max-clone", type=int, default=CLONE_CAP)
 
     parser = argparse.ArgumentParser(prog="ualg", description="finite universal-algebra workbench")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # a metavar in the full parser would replace "command" in its error messages
+    metavar = None if only is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
-    p = sub.add_parser("check-identity", parents=[common], help="check p ≈ q on an algebra")
-    p.add_argument("algebra")
-    p.add_argument("p")
-    p.add_argument("q")
+    if only in (None, "check-identity"):
+        p = sub.add_parser("check-identity", parents=[common], help="check p ≈ q on an algebra")
+        p.add_argument("algebra")
+        p.add_argument("p")
+        p.add_argument("q")
 
-    p = sub.add_parser("variety-check", parents=[common], help="check a list of identities 'p=q'")
-    p.add_argument("algebra")
-    p.add_argument("identities", nargs="+")
+    if only in (None, "variety-check"):
+        p = sub.add_parser("variety-check", parents=[common], help="check a list of identities 'p=q'")
+        p.add_argument("algebra")
+        p.add_argument("identities", nargs="+")
 
-    p = sub.add_parser("eval", parents=[common], help="evaluate a term under an assignment")
-    p.add_argument("algebra")
-    p.add_argument("term")
-    p.add_argument("assignment", nargs="?", default="", help="e.g. 'v1=0,v2=3'")
+    if only in (None, "eval"):
+        p = sub.add_parser("eval", parents=[common], help="evaluate a term under an assignment")
+        p.add_argument("algebra")
+        p.add_argument("term")
+        p.add_argument("assignment", nargs="?", default="", help="e.g. 'v1=0,v2=3'")
 
-    p = sub.add_parser("hom-check", parents=[common], help="check a map for the homomorphism property")
-    p.add_argument("source")
-    p.add_argument("target")
-    p.add_argument("map", help="JSON array of images")
+    if only in (None, "hom-check"):
+        p = sub.add_parser("hom-check", parents=[common], help="check a map for the homomorphism property")
+        p.add_argument("source")
+        p.add_argument("target")
+        p.add_argument("map", help="JSON array of images")
 
-    p = sub.add_parser("subalgebra", parents=[common], help="subalgebra generated by a seed set")
-    p.add_argument("algebra")
-    p.add_argument("seed", help="JSON array of elements")
+    if only in (None, "subalgebra"):
+        p = sub.add_parser("subalgebra", parents=[common], help="subalgebra generated by a seed set")
+        p.add_argument("algebra")
+        p.add_argument("seed", help="JSON array of elements")
 
-    p = sub.add_parser("product", parents=[common], help="componentwise product")
-    p.add_argument("algebras", nargs="+")
+    if only in (None, "product"):
+        p = sub.add_parser("product", parents=[common], help="componentwise product")
+        p.add_argument("algebras", nargs="+")
 
-    p = sub.add_parser("quotient", parents=[common], help="quotient by a congruence")
-    p.add_argument("algebra")
-    p.add_argument("partition", help="e.g. '0,2|1,3'")
+    if only in (None, "quotient"):
+        p = sub.add_parser("quotient", parents=[common], help="quotient by a congruence")
+        p.add_argument("algebra")
+        p.add_argument("partition", help="e.g. '0,2|1,3'")
 
-    p = sub.add_parser("congruences", parents=[common], help="list all congruences")
-    p.add_argument("algebra")
+    if only in (None, "congruences"):
+        p = sub.add_parser("congruences", parents=[common], help="list all congruences")
+        p.add_argument("algebra")
 
-    p = sub.add_parser("gen-congruence", parents=[common], help="congruence generated by pairs")
-    p.add_argument("algebra")
-    p.add_argument("pairs", help="JSON array of [a,b] pairs")
+    if only in (None, "gen-congruence"):
+        p = sub.add_parser("gen-congruence", parents=[common], help="congruence generated by pairs")
+        p.add_argument("algebra")
+        p.add_argument("pairs", help="JSON array of [a,b] pairs")
 
-    p = sub.add_parser("translations", parents=[common], help="principal translations and semigroup")
-    p.add_argument("algebra")
+    if only in (None, "translations"):
+        p = sub.add_parser("translations", parents=[common], help="principal translations and semigroup")
+        p.add_argument("algebra")
 
-    p = sub.add_parser("malcev", parents=[common], help="enumerate (size) or detect (algebra)")
-    p.add_argument("target", help="carrier size or algebra name")
+    if only in (None, "malcev"):
+        p = sub.add_parser("malcev", parents=[common], help="enumerate (size) or detect (algebra)")
+        p.add_argument("target", help="carrier size or algebra name")
 
-    p = sub.add_parser("clone", parents=[common], help="ternary term operations")
-    p.add_argument("algebra")
+    if only in (None, "clone"):
+        p = sub.add_parser("clone", parents=[common], help="ternary term operations")
+        p.add_argument("algebra")
 
-    p = sub.add_parser("factorize", parents=[common], help="least factorization of a map")
-    p.add_argument("algebra")
-    p.add_argument("map", help="JSON array of images")
+    if only in (None, "factorize"):
+        p = sub.add_parser("factorize", parents=[common], help="least factorization of a map")
+        p.add_argument("algebra")
+        p.add_argument("map", help="JSON array of images")
 
-    sub.add_parser("fixtures", parents=[common], help="list built-in algebras")
+    if only in (None, "fixtures"):
+        sub.add_parser("fixtures", parents=[common], help="list built-in algebras")
     return parser
 
 
@@ -501,8 +523,8 @@ def _emit(ws: Workspace | None, command: str, code: int, payload: dict, human: l
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     ws = Workspace(args)
     handler = _COMMANDS[args.command]
     try:

@@ -13,7 +13,7 @@ from typing import Callable, NamedTuple
 from .check import Check
 from .errors import ArityMismatchError, NotAGroupError, SizeCapError
 from .fixtures import group_axioms
-from .algebra import FiniteAlgebra, in_equational_class, projection_tables
+from .algebra import FiniteAlgebra, _check_length, in_equational_class, projection_tables
 from .terms import parse_term, term_table
 
 CLONE_CAP = 100_000  # ternary functions
@@ -55,6 +55,7 @@ def find_malcev_operations(k: int, cap: int | None = None) -> MalcevEnumeration:
     """
     if k < 1:
         raise ValueError("carrier size must be at least 1")
+    _check_length(k**3)
     k2 = k * k
     base: list[int | None] = [None] * (k * k2)
     for x in range(k):
@@ -117,7 +118,9 @@ def _clone_closure(
                 if table in seen:
                     continue
                 if len(seen) >= cap:
-                    raise SizeCapError(f"ternary clone exceeds cap {cap}")
+                    raise SizeCapError(
+                        f"{len(seen) + 1} ternary term operations found, cap {cap} (--max-clone)"
+                    )
                 seen.add(table)
                 known.append(table)
                 if stop is not None and stop(table):

@@ -23,6 +23,11 @@ from .signature import Signature
 _VAR_RE = re.compile(r"v([1-9][0-9]*)")
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
+# Nested argument lists parse_term accepts.  Printing, evaluating and
+# classifying a term recurse once or twice per level, so much deeper terms
+# would overflow Python's stack (about 1000 frames) in those routines.
+MAX_TERM_DEPTH = 200
+
 
 @dataclass(frozen=True)
 class Variable:
@@ -83,13 +88,13 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 def parse_term(text: str, sig: Signature) -> Term:
     """Parse fully parenthesized prefix term text over ``sig``."""
     tokens = _tokenize(text)
-    term, nxt = _parse_term(tokens, 0, sig)
+    term, nxt = _parse_term(tokens, 0, sig, 0)
     if nxt != len(tokens):
         raise ParseError("unexpected trailing input", tokens[nxt][2])
     return term
 
 
-def _parse_term(tokens, i, sig):
+def _parse_term(tokens, i, sig, depth):
     if i >= len(tokens):
         raise ParseError("unexpected end of input")
     kind, value, pos = tokens[i]
@@ -99,12 +104,14 @@ def _parse_term(tokens, i, sig):
     if var is not None:
         return Variable(int(var.group(1))), i + 1
     if i + 1 < len(tokens) and tokens[i + 1][0] == "(":
+        if depth == MAX_TERM_DEPTH:
+            raise ParseError(f"term nests deeper than {MAX_TERM_DEPTH} levels", tokens[i + 1][2])
         children = []
         j = i + 2
         if j < len(tokens) and tokens[j][0] == ")":
             raise ParseError("empty argument list", tokens[j][2])
         while True:
-            child, j = _parse_term(tokens, j, sig)
+            child, j = _parse_term(tokens, j, sig, depth + 1)
             children.append(child)
             if j >= len(tokens):
                 raise ParseError("unterminated argument list")

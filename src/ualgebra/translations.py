@@ -9,6 +9,7 @@ descriptors) that produced them, applied left to right.
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import SizeCapError
 
@@ -88,17 +89,22 @@ def translation_semigroup(X, cap: int = SEMIGROUP_HARD_CAP) -> list[Translation]
     generators = principal_translations(X)
     identity = Translation(tuple(range(k)), ())
     members = [identity]
+    if k == 1:  # the identity is the only self-map, and itemgetter(0) would return a scalar
+        return members
     seen = {identity.table}
     frontier = [identity]
     while frontier:
         nxt = []
         for t in frontier:
+            pick = itemgetter(*t.table)  # pick(g) is the table of t followed by g
             for gen in generators:
-                table = tuple(gen.table[v] for v in t.table)
+                table = pick(gen.table)
                 if table in seen:
                     continue
                 if len(seen) >= cap:
-                    raise SizeCapError(f"translation semigroup exceeds cap {cap}")
+                    raise SizeCapError(
+                        f"{len(seen) + 1} translations found, cap {cap} (--max-semigroup)"
+                    )
                 new = Translation(table, t.word + gen.word)
                 seen.add(table)
                 members.append(new)

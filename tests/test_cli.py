@@ -1,10 +1,12 @@
 import io
 import json
 import random
-from contextlib import redirect_stdout
+import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 
 from ualgebra import CarrierMap, Signature, kernel, least_factorization
-from ualgebra.cli import main
+from ualgebra.cli import _COMMANDS, build_parser, main
+from ualgebra.terms import MAX_TERM_DEPTH
 
 from _oracles import planted_algebra
 
@@ -189,6 +191,10 @@ def test_file_inputs(tmp_path):
 def test_cap_flag_exit_3(capsys):
     assert main(["congruences", "Z6", "--max-partitions", "10"]) == 3
     capsys.readouterr()
+    assert main(["translations", "Z3", "--max-semigroup", "2"]) == 3
+    assert capsys.readouterr().err == "error: 3 translations found, cap 2 (--max-semigroup)\n"
+    assert main(["clone", "Z3", "--max-clone", "5"]) == 3
+    assert capsys.readouterr().err == "error: 6 ternary term operations found, cap 5 (--max-clone)\n"
 
 
 def test_human_output_readable():
@@ -267,4 +273,98 @@ def test_factorize_ignores_the_semigroup_cap_that_translations_keeps(tmp_path, c
     assert expected.num_blocks < 12
 
     assert main(["translations", "Z3", "--max-semigroup", "1"]) == 3
+    capsys.readouterr()
+
+
+# Stand-in positionals that satisfy each command's parser.
+POSITIONALS = {
+    "check-identity": ["x", "x", "x"],
+    "variety-check": ["x", "x"],
+    "eval": ["x", "x"],
+    "hom-check": ["x", "x", "x"],
+    "subalgebra": ["x", "x"],
+    "product": ["x"],
+    "quotient": ["x", "x"],
+    "congruences": ["x"],
+    "gen-congruence": ["x", "x"],
+    "translations": ["x"],
+    "malcev": ["x"],
+    "clone": ["x"],
+    "factorize": ["x", "x"],
+    "fixtures": [],
+}
+
+
+def _parsed(parse, argv):
+    """stdout, stderr and the parsed arguments or the SystemExit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return out.getvalue(), err.getvalue(), result
+
+
+def test_one_command_parser_prints_the_bytes_of_the_full_parser(monkeypatch):
+    for columns in ("40", "120"):
+        monkeypatch.setenv("COLUMNS", columns)
+        for command in _COMMANDS:
+            given = [command, *POSITIONALS[command]]
+            for argv in (
+                [command, "-h"],
+                [command],
+                given + ["--json"],
+                given + ["--nope"],
+                given + ["--threads", "two"],
+                given + ["extra"],
+            ):
+                one = _parsed(build_parser(command).parse_args, argv)
+                assert one == _parsed(build_parser().parse_args, argv), argv
+
+        for argv in ([], ["-h"], ["bogus"], ["fact"], ["--json"], ["--json", "fixtures"]):
+            assert _parsed(main, argv) == _parsed(build_parser().parse_args, argv), argv
+        assert "required: command" in _parsed(main, [])[1]
+        assert "argument command: invalid choice: 'bogus'" in _parsed(main, ["bogus"])[1]
+
+
+def test_malcev_refuses_sizes_whose_table_exceeds_the_table_limit(capsys):
+    tracemalloc.start()
+    try:
+        # 10**7 comes first: it raised a raw OverflowError without allocating
+        for size in ("10000000", "2000", "102"):
+            code, doc = run_json(["malcev", size, "--max-clone", "1"])
+            assert code == 3 and doc["error"]["type"] == "SizeCapExceeded", size
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    capsys.readouterr()
+
+
+def _nested(levels):
+    return "i(" * levels + "v1" + ")" * levels
+
+
+def test_terms_nested_to_the_depth_limit_run():
+    deep = _nested(MAX_TERM_DEPTH)
+    code, doc = run_json(["eval", "Z4", deep, "v1=1"])
+    assert code == 0 and doc["value"] == 1 and doc["term"] == deep
+    code, doc = run_json(["check-identity", "Z4", deep, "v1"])
+    assert code == 0 and doc["holds"] is True
+    code, doc = run_json(["variety-check", "Z4", f"{deep}=v1"])
+    assert code == 0 and doc["all_hold"] is True
+
+
+def test_terms_nested_past_the_depth_limit_are_parse_errors(capsys):
+    for levels in (MAX_TERM_DEPTH + 1, 1000):
+        deep = _nested(levels)
+        for argv in (
+            ["eval", "Z4", deep, "v1=1"],
+            ["check-identity", "Z4", "v1", deep],
+            ["variety-check", "Z4", f"{deep}=v1"],
+        ):
+            code, doc = run_json(argv)
+            assert code == 2 and doc["error"]["type"] == "ParseError", (levels, argv[0])
+            assert f"deeper than {MAX_TERM_DEPTH} levels" in doc["error"]["message"]
     capsys.readouterr()

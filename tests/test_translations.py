@@ -40,6 +40,12 @@ def test_constants_only_algebra_has_no_translations():
     assert len(semigroup) == 1 and semigroup[0].word == ()
 
 
+def test_semigroup_of_a_one_element_algebra_is_the_identity():
+    Z1 = cyclic_group(1)
+    assert [t.table for t in principal_translations(Z1)] == [(0,)]
+    assert [(t.table, t.word) for t in translation_semigroup(Z1)] == [((0,), ())]
+
+
 def test_principal_translations_semilattice():
     tables = [t.table for t in principal_translations(semilattice2())]
     assert len(tables) == 2
