@@ -16,6 +16,7 @@ Exit codes: 0 success/PASS, 1 semantic FAIL, 2 usage or parse error,
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import fixtures
@@ -30,13 +31,13 @@ from .algebra import (
     subalgebra_generated,
 )
 from .congruences import PARTITION_ENUM_CAP, all_congruences, congruence_generated
-from .errors import NotACongruenceError, SizeCapError, UAlgError
+from .errors import FormatError, NotACongruenceError, SizeCapError, UAlgError
 from .factorization import enumerate_factorizations, greatest_factorization, least_factorization, precedes
 from .malcev import CLONE_CAP, clone_ternary_terms, find_malcev_operations, group_malcev
 from .malcev import has_malcev_term, table_is_malcev
 from .partitions import Partition
 from .terms import classify_identity, evaluate, format_term, parse_term
-from .translations import SEMIGROUP_HARD_CAP, principal_translations, translation_semigroup
+from .translations import SEMIGROUP_HARD_CAP, semigroup_tree
 
 SCHEMA = 1
 
@@ -57,8 +58,16 @@ class Workspace:
             return fixture
         path = Path(name)
         if path.is_file():
-            return FiniteAlgebra.from_json_dict(json.loads(path.read_text()))
+            return FiniteAlgebra.from_json_dict(_loads(path.read_text(), f"algebra file '{name}'"))
         raise UAlgError(f"unknown algebra '{name}' (not a fixture name or readable file)")
+
+
+def _loads(text: str, what: str):
+    """``json.loads``; a document nested too deeply for the decoder is a FormatError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise FormatError(f"bad {what}: JSON nested too deeply") from None
 
 
 def _read_arg(text: str) -> str:
@@ -69,7 +78,7 @@ def _read_arg(text: str) -> str:
 
 def _parse_int_list(text: str, what: str) -> list[int]:
     try:
-        data = json.loads(_read_arg(text))
+        data = _loads(_read_arg(text), what)
     except json.JSONDecodeError as exc:
         raise UAlgError(f"bad {what}: {exc}") from None
     if not isinstance(data, list) or not all(type(x) is int for x in data):
@@ -103,6 +112,8 @@ def _parse_assignment(text: str) -> dict[int, int]:
             raise UAlgError(f"bad variable name {var!r} in assignment")
         if not _is_decimal(value):
             raise UAlgError(f"bad value in assignment entry {piece!r}, expected decimal digits")
+        if int(var[1:]) in out:
+            raise UAlgError(f"variable {var} assigned twice in assignment")
         out[int(var[1:])] = int(value)
     return out
 
@@ -277,7 +288,7 @@ def cmd_congruences(ws: Workspace, args) -> tuple[int, dict, list[str]]:
 def cmd_gen_congruence(ws: Workspace, args) -> tuple[int, dict, list[str]]:
     X = ws.algebra(args.algebra)
     try:
-        data = json.loads(_read_arg(args.pairs))
+        data = _loads(_read_arg(args.pairs), "pairs")
     except json.JSONDecodeError as exc:
         raise UAlgError(f"bad pairs: {exc}") from None
     if not isinstance(data, list) or not all(
@@ -291,16 +302,17 @@ def cmd_gen_congruence(ws: Workspace, args) -> tuple[int, dict, list[str]]:
 
 def cmd_translations(ws: Workspace, args) -> tuple[int, dict, list[str]]:
     X = ws.algebra(args.algebra)
-    s1 = principal_translations(X)
-    semigroup = translation_semigroup(X, cap=ws.max_semigroup)
-    members = [{"word": t.format_word(), "table": list(t.table)} for t in semigroup]
+    tree = semigroup_tree(X, cap=ws.max_semigroup)
+    members = [
+        {"word": word, "table": list(table)} for word, table in zip(tree.format_words(), tree.tables)
+    ]
     payload = {
         "algebra": args.algebra,
-        "s1_size": len(s1),
-        "s_size": len(semigroup),
+        "s1_size": len(tree.generators),
+        "s_size": len(members),
         "members": members,
     }
-    human = [f"|S1| = {len(s1)}", f"|S| = {len(semigroup)}"]
+    human = [f"|S1| = {len(tree.generators)}", f"|S| = {len(members)}"]
     human += [
         f"{m['word']} ⇒ [{','.join(str(v) for v in m['table'])}]" for m in members
     ]
@@ -424,6 +436,17 @@ _COMMANDS = {
 }
 
 
+def _cap(text: str) -> int:
+    """A cap flag's value: a non-negative integer.  argparse names the flag."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"cap must not be negative, got {value}")
+    return value
+
+
 def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     """The ``ualg`` parser: every subcommand, or only the one ``only`` names.
 
@@ -435,9 +458,9 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", help="emit machine-readable JSON")
     common.add_argument("--oracle", action="store_true", help="run brute-force cross-checks")
     common.add_argument("--threads", type=int, default=1, help="reserved; has no effect")
-    common.add_argument("--max-semigroup", type=int, default=SEMIGROUP_HARD_CAP, help="caps |S| in translations")
-    common.add_argument("--max-partitions", type=int, default=PARTITION_ENUM_CAP)
-    common.add_argument("--max-clone", type=int, default=CLONE_CAP)
+    common.add_argument("--max-semigroup", type=_cap, default=SEMIGROUP_HARD_CAP, help="caps |S| in translations")
+    common.add_argument("--max-partitions", type=_cap, default=PARTITION_ENUM_CAP)
+    common.add_argument("--max-clone", type=_cap, default=CLONE_CAP)
 
     parser = argparse.ArgumentParser(prog="ualg", description="finite universal-algebra workbench")
     # a metavar in the full parser would replace "command" in its error messages
@@ -512,11 +535,64 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _write_json(value, newline: str, out: list[str]) -> None:
+    """Append to ``out`` the text ``json.dumps(value, indent=2, sort_keys=True)``
+    gives, nested one level below the indent that ``newline`` carries.
+
+    CPython's C encoder does not take ``indent``, so ``json.dumps`` falls
+    back to its pure-Python one; this writer does less per value.  It takes
+    only what payloads hold: str-keyed dicts, lists, str, int, bool and None.
+    """
+    kind = type(value)
+    if kind is str:
+        out.append(encode_basestring_ascii(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif value is None or kind is bool:
+        out.append("null" if value is None else "true" if value else "false")
+    elif kind is list:
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        if all(type(x) is int for x in value):
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, value)) + newline + "]")
+            return
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        if not all(type(key) is str for key in value):
+            raise TypeError("JSON object keys must be str")
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(value[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _dumps(value) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte."""
+    out: list[str] = []
+    _write_json(value, "\n", out)
+    return "".join(out)
+
+
 def _emit(ws: Workspace | None, command: str, code: int, payload: dict, human: list[str]) -> None:
     if ws is not None and ws.json:
         doc = {"schema": SCHEMA, "command": command, "exit_code": code}
         doc.update(payload)
-        sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(_dumps(doc) + "\n")
     else:
         for line in human:
             sys.stdout.write(line + "\n")

@@ -13,7 +13,7 @@ from typing import Callable, NamedTuple
 from .check import Check
 from .errors import ArityMismatchError, NotAGroupError, SizeCapError
 from .fixtures import group_axioms
-from .algebra import FiniteAlgebra, _check_length, in_equational_class, projection_tables
+from .algebra import TABLE_CAP, FiniteAlgebra, _check_length, in_equational_class, projection_tables
 from .terms import parse_term, term_table
 
 CLONE_CAP = 100_000  # ternary functions
@@ -55,23 +55,36 @@ def find_malcev_operations(k: int, cap: int | None = None) -> MalcevEnumeration:
     """
     if k < 1:
         raise ValueError("carrier size must be at least 1")
-    _check_length(k**3)
+    k3 = k**3
+    _check_length(k3)
+    # count = k ** (free cells), multiplied out only until it passes the
+    # number of tables that could be listed
+    stop = TABLE_CAP if cap is None else cap
+    count = 1
+    for _ in range(k * (k - 1) ** 2):
+        count *= k
+        if count > stop:
+            break
+    listed = count if cap is None else min(count, cap)
+    if listed * k3 > TABLE_CAP:
+        raise SizeCapError(
+            f"listing {listed} Mal'cev tables of {k3} entries each exceeds the limit of"
+            f" {TABLE_CAP} entries; lower --max-clone"
+        )
     k2 = k * k
-    base: list[int | None] = [None] * (k * k2)
+    base: list[int | None] = [None] * k3
     for x in range(k):
         for y in range(k):
             base[y * k2 + y * k + x] = x
             base[x * k2 + y * k + y] = x
     free = [i for i, v in enumerate(base) if v is None]
-    total = k ** len(free)
-    limit = total if cap is None else min(total, cap)
     tables: list[tuple[int, ...]] = []
-    for values in itertools.islice(itertools.product(range(k), repeat=len(free)), limit):
+    for values in itertools.islice(itertools.product(range(k), repeat=len(free)), listed):
         table = base[:]
         for i, v in zip(free, values):
             table[i] = v
         tables.append(tuple(table))
-    return MalcevEnumeration(tables, len(tables) == total)
+    return MalcevEnumeration(tables, count <= stop)
 
 
 def group_malcev(G: FiniteAlgebra) -> tuple[int, ...]:

@@ -10,6 +10,7 @@ descriptors) that produced them, applied left to right.
 import itertools
 from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import SizeCapError
 
@@ -78,39 +79,70 @@ def principal_translations(X) -> list[Translation]:
     return out
 
 
-def translation_semigroup(X, cap: int = SEMIGROUP_HARD_CAP) -> list[Translation]:
+class SemigroupTree(NamedTuple):
+    """The translation semigroup as a spanning tree of its right Cayley graph.
+
+    Member 0 is the identity.  Every other member i is member ``parent[i]``
+    followed by ``generators[letter[i]]``, with ``parent[i] < i``, so its
+    word is its parent's word plus one letter (Froidure and Pin, 1997).
+    """
+
+    generators: list[Translation]
+    tables: list[tuple[int, ...]]
+    parent: list[int]
+    letter: list[int]
+
+    def format_words(self) -> list[str]:
+        """``Translation.format_word`` of every member, each built once from its parent's."""
+        texts = [g.format_word() for g in self.generators]
+        words = ["e"]
+        for p, j in zip(self.parent[1:], self.letter[1:]):
+            words.append(texts[j] if p == 0 else texts[j] + "∘" + words[p])
+        return words
+
+
+def semigroup_tree(X, cap: int = SEMIGROUP_HARD_CAP) -> SemigroupTree:
     """Closure of the principal translations and the identity under composition.
 
     Breadth-first by word length with lexicographic tie-breaking, so every
-    member carries a shortest witness word and the output order is
+    member carries a shortest witness word and the member order is
     deterministic.  Deduplication is by table; words are provenance only.
     """
     k = X.size
     generators = principal_translations(X)
-    identity = Translation(tuple(range(k)), ())
-    members = [identity]
+    gen_tables = [g.table for g in generators]
+    tables = [tuple(range(k))]
+    parent, letter = [-1], [-1]
     if k == 1:  # the identity is the only self-map, and itemgetter(0) would return a scalar
-        return members
-    seen = {identity.table}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for t in frontier:
-            pick = itemgetter(*t.table)  # pick(g) is the table of t followed by g
-            for gen in generators:
-                table = pick(gen.table)
+        return SemigroupTree(generators, tables, parent, letter)
+    seen = {tables[0]}
+    start = 0
+    while start < len(tables):  # members start..end-1 are the words of one length
+        end = len(tables)
+        for i in range(start, end):
+            pick = itemgetter(*tables[i])  # pick(g) is the table of member i followed by g
+            for j, table in enumerate(map(pick, gen_tables)):
                 if table in seen:
                     continue
-                if len(seen) >= cap:
+                if len(tables) >= cap:
                     raise SizeCapError(
-                        f"{len(seen) + 1} translations found, cap {cap} (--max-semigroup)"
+                        f"{len(tables) + 1} translations found, cap {cap} (--max-semigroup)"
                     )
-                new = Translation(table, t.word + gen.word)
                 seen.add(table)
-                members.append(new)
-                nxt.append(new)
-        frontier = nxt
-    return members
+                tables.append(table)
+                parent.append(i)
+                letter.append(j)
+        start = end
+    return SemigroupTree(generators, tables, parent, letter)
+
+
+def translation_semigroup(X, cap: int = SEMIGROUP_HARD_CAP) -> list[Translation]:
+    """The members of ``semigroup_tree(X, cap)``, in its order, with their words."""
+    tree = semigroup_tree(X, cap)
+    words = [()]
+    for p, j in zip(tree.parent[1:], tree.letter[1:]):
+        words.append(words[p] + tree.generators[j].word)
+    return [Translation(table, word) for table, word in zip(tree.tables, words)]
 
 
 def evaluate_word(X, word: tuple[PrincipalDescriptor, ...]) -> tuple[int, ...]:

@@ -5,13 +5,18 @@ deliberately sharing no algorithmic route with the library: set partitions
 are enumerated recursively (not as restricted-growth strings), semigroup
 and clone closures run as repeated full passes over raw tables, the
 largest-congruence oracle filters the whole congruence lattice, and terms
-are evaluated one assignment at a time by recursion.
+are evaluated one assignment at a time by recursion.  The one exception is
+``frozen_word_semigroup``: the closure loop that the translation semigroup
+used before it kept its members as a tree, kept as the reference it must
+reproduce member for member.
 """
 
 import itertools
 import random
+from operator import itemgetter
 
-from ualgebra import Constant, FiniteAlgebra, Variable
+from ualgebra import Constant, FiniteAlgebra, Translation, Variable, principal_translations
+from ualgebra.errors import SizeCapError
 
 
 def naive_partitions(n):
@@ -88,6 +93,37 @@ def naive_semigroup_tables(X):
         if not new:
             return tables
         tables |= new
+
+
+def frozen_word_semigroup(X, cap):
+    """The translation semigroup as one frozen ``Translation`` per member,
+    each word the tuple of its parent's word plus one generator."""
+    k = X.size
+    generators = principal_translations(X)
+    identity = Translation(tuple(range(k)), ())
+    members = [identity]
+    if k == 1:
+        return members
+    seen = {identity.table}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for t in frontier:
+            pick = itemgetter(*t.table)
+            for gen in generators:
+                table = pick(gen.table)
+                if table in seen:
+                    continue
+                if len(seen) >= cap:
+                    raise SizeCapError(
+                        f"{len(seen) + 1} translations found, cap {cap} (--max-semigroup)"
+                    )
+                new = Translation(table, t.word + gen.word)
+                seen.add(table)
+                members.append(new)
+                nxt.append(new)
+        frontier = nxt
+    return members
 
 
 def naive_clone_tables(X):

@@ -4,6 +4,8 @@ import random
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
+
 from ualgebra import CarrierMap, Signature, kernel, least_factorization
 from ualgebra.cli import _COMMANDS, build_parser, main
 from ualgebra.terms import MAX_TERM_DEPTH
@@ -367,4 +369,58 @@ def test_terms_nested_past_the_depth_limit_are_parse_errors(capsys):
             code, doc = run_json(argv)
             assert code == 2 and doc["error"]["type"] == "ParseError", (levels, argv[0])
             assert f"deeper than {MAX_TERM_DEPTH} levels" in doc["error"]["message"]
+    capsys.readouterr()
+
+
+def test_json_nested_too_deeply_is_a_format_error(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    for argv in (
+        ["quotient", str(deep), "0|1"],
+        ["factorize", "Z4", f"@{deep}"],
+        ["gen-congruence", "Z4", f"@{deep}"],
+    ):
+        code, doc = run_json(argv)
+        assert code == 2 and doc["error"]["type"] == "FormatError", argv[0]
+        assert "nested too deeply" in doc["error"]["message"]
+    capsys.readouterr()
+
+
+def test_negative_caps_are_usage_errors(capsys):
+    for flag, argv in (
+        ("--max-partitions", ["congruences", "Z4"]),
+        ("--max-semigroup", ["translations", "Z3"]),
+        ("--max-clone", ["clone", "Z3"]),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, "-1"])
+        assert exc.value.code == 2
+        assert f"argument {flag}: cap must not be negative" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(argv + [flag, "x"])
+        assert f"argument {flag}: invalid int value: 'x'" in capsys.readouterr().err
+    assert main(["translations", "Z2", "--max-semigroup", "0"]) == 3  # zero is a cap, not a usage error
+    capsys.readouterr()
+
+
+def test_eval_rejects_a_variable_assigned_twice(capsys):
+    code, doc = run_json(["eval", "Z4", "v1", "v1=1,v1=2"])
+    assert code == 2 and "v1 assigned twice" in doc["error"]["message"]
+    assert run_cli(["eval", "Z4", "m(v1,v2)", "v2=1,v1=2"]) == (0, "3\n")
+    capsys.readouterr()
+
+
+def test_malcev_listings_past_the_table_limit_stop_before_enumerating(capsys):
+    tracemalloc.start()
+    try:
+        for size in ("3", "4", "20"):
+            code, doc = run_json(["malcev", size])
+            assert code == 3 and doc["error"]["type"] == "SizeCapExceeded", size
+            assert "--max-clone" in doc["error"]["message"] and "1048576" in doc["error"]["message"]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    code, doc = run_json(["malcev", "3", "--max-clone", "100"])
+    assert code == 3 and doc["count"] == 100 and doc["complete"] is False
     capsys.readouterr()

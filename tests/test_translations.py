@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from ualgebra import (
@@ -14,8 +16,15 @@ from ualgebra import (
     translation_semigroup,
 )
 from ualgebra.errors import SizeCapError
+from ualgebra.translations import semigroup_tree
 
-from _oracles import naive_principal_tables, naive_semigroup_tables, s1_saturation_refinement
+from _oracles import (
+    frozen_word_semigroup,
+    naive_principal_tables,
+    naive_semigroup_tables,
+    planted_algebra,
+    s1_saturation_refinement,
+)
 
 Z2, Z3 = cyclic_group(2), cyclic_group(3)
 
@@ -150,3 +159,42 @@ def test_word_format():
     assert plus1.format_word() == "m@1(1)"
     neg = next(t for t in semigroup if t.table == (0, 2, 1))
     assert neg.format_word() == "i"
+
+
+SIGNATURES = (
+    Signature([("f", 2)]),
+    Signature([("f", 2), ("u", 1), ("c", 0)]),
+    Signature([("u", 1), ("w", 1), ("c", 0)]),
+)
+
+
+def _differential_algebras():
+    """The fixtures, then seeded random and planted algebras, k = 1..6."""
+    rng = random.Random(20260)
+    yield from FIXTURES
+    for sig in SIGNATURES:
+        for k in range(1, 7):
+            for blocks in {k, max(1, k // 2)}:  # all blocks singletons: a random algebra
+                yield planted_algebra(rng, k, blocks, sig)[0]
+
+
+def test_tree_reproduces_the_frozen_word_closure():
+    for X in _differential_algebras():
+        expected = frozen_word_semigroup(X, cap=10**6)
+        got = translation_semigroup(X)
+        assert [(t.table, t.word) for t in got] == [(t.table, t.word) for t in expected]
+        tree = semigroup_tree(X)
+        assert tree.tables == [t.table for t in expected]
+        assert tree.format_words() == [t.format_word() for t in expected]
+        assert all(p < i for i, p in enumerate(tree.parent) if i)
+
+
+def test_tree_cap_matches_the_frozen_word_closure():
+    for X in (Z3, klein_four(), adjoined_infinity_monoid(3)):
+        size = len(frozen_word_semigroup(X, cap=10**6))
+        with pytest.raises(SizeCapError) as expected:
+            frozen_word_semigroup(X, cap=size - 1)
+        with pytest.raises(SizeCapError) as got:
+            semigroup_tree(X, cap=size - 1)
+        assert str(got.value) == str(expected.value)
+        assert len(semigroup_tree(X, cap=size).tables) == size
