@@ -7,7 +7,8 @@ versioned machine-readable document (schema 1) whose bytes are stable
 across runs.  ``--threads`` is accepted and reserved; it has no effect.
 ``--max-semigroup`` caps only ``translations``.  ``--max-partitions`` caps
 the pairs a < b and the congruences found by the congruence-lattice search
-of ``congruences`` and ``factorize --oracle``.
+of ``congruences`` and ``factorize --oracle``.  A negative cap is a usage
+error.
 
 Exit codes: 0 success/PASS, 1 semantic FAIL, 2 usage or parse error,
 3 cap exceeded.

@@ -105,7 +105,7 @@ def semigroup_tree(X, cap: int = SEMIGROUP_HARD_CAP) -> SemigroupTree:
     """Closure of the principal translations and the identity under composition.
 
     Breadth-first by word length with lexicographic tie-breaking, so every
-    member carries a shortest witness word and the member order is
+    member carries a shortest witness word and the output order is
     deterministic.  Deduplication is by table; words are provenance only.
     """
     k = X.size
