@@ -32,7 +32,8 @@ from .signature import Signature
 from .terms import Term, term_table, vars_of
 
 CARRIER_CAP = 4096  # guard for product carriers
-TABLE_CAP = 1 << 20  # entries in one table held in memory
+TABLE_CAP = 1 << 20  # entries in one table held in memory, and elements in one carrier
+ARITY_CAP = 20  # log2(TABLE_CAP): a higher arity overflows TABLE_CAP on any carrier of two or more elements
 
 
 def _check_length(entries: int) -> None:
@@ -123,12 +124,17 @@ class FiniteAlgebra:
     def __init__(self, sig: Signature, size: int, ops: Mapping[str, Any]):
         if type(size) is not int or size < 1:
             raise FormatError(f"carrier size must be a positive integer, got {size!r}")
+        if size > TABLE_CAP:
+            raise SizeCapError(f"a carrier of {size} elements exceeds the fixed limit of {TABLE_CAP} elements")
         self.sig = sig
         self.size = size
         tables: dict[str, tuple[int, ...]] = {}
         for name, arity in sig:
             if name not in ops:
                 raise FormatError(f"no table given for symbol '{name}'")
+            if arity > ARITY_CAP:  # checked first, so that size**arity stays small
+                raise SizeCapError(f"arity {arity} of '{name}' exceeds the fixed limit of {ARITY_CAP}")
+            _check_length(size**arity)
             table = _flatten(ops[name], arity, size, name)
             for entry in table:
                 if not 0 <= entry < size:
@@ -197,6 +203,10 @@ class FiniteAlgebra:
         for field in ("signature", "size", "ops"):
             if field not in doc:
                 raise FormatError(f"algebra document is missing '{field}'")
+        if not isinstance(doc["signature"], list):
+            raise FormatError("algebra 'signature' must be a JSON array")
+        if not isinstance(doc["ops"], Mapping):
+            raise FormatError("algebra 'ops' must be a JSON object")
         entries = []
         for item in doc["signature"]:
             if not isinstance(item, Mapping) or set(item) != {"symbol", "arity"}:

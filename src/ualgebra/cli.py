@@ -43,24 +43,15 @@ from .translations import SEMIGROUP_HARD_CAP, semigroup_tree
 SCHEMA = 1
 
 
-class Workspace:
-    """Resolves algebra names and holds the configured caps."""
-
-    def __init__(self, args):
-        self.json = args.json
-        self.oracle = args.oracle
-        self.max_semigroup = args.max_semigroup
-        self.max_partitions = args.max_partitions
-        self.max_clone = args.max_clone
-
-    def algebra(self, name: str) -> FiniteAlgebra:
-        fixture = fixtures.get_fixture(name)
-        if fixture is not None:
-            return fixture
-        path = Path(name)
-        if path.is_file():
-            return FiniteAlgebra.from_json_dict(_loads(path.read_text(), f"algebra file '{name}'"))
-        raise UAlgError(f"unknown algebra '{name}' (not a fixture name or readable file)")
+def _algebra(name: str) -> FiniteAlgebra:
+    """The built-in fixture ``name``, or the algebra in the JSON file at that path."""
+    fixture = fixtures.get_fixture(name)
+    if fixture is not None:
+        return fixture
+    path = Path(name)
+    if path.is_file():
+        return FiniteAlgebra.from_json_dict(_loads(path.read_text(), f"algebra file '{name}'"))
+    raise UAlgError(f"unknown algebra '{name}' (not a fixture name or readable file)")
 
 
 def _loads(text: str, what: str):
@@ -77,11 +68,16 @@ def _read_arg(text: str) -> str:
     return text
 
 
-def _parse_int_list(text: str, what: str) -> list[int]:
+def _json_arg(text: str, what: str):
+    """The JSON value of an inline or ``@path`` argument; malformed JSON is a UAlgError."""
     try:
-        data = _loads(_read_arg(text), what)
+        return _loads(_read_arg(text), what)
     except json.JSONDecodeError as exc:
         raise UAlgError(f"bad {what}: {exc}") from None
+
+
+def _parse_int_list(text: str, what: str) -> list[int]:
+    data = _json_arg(text, what)
     if not isinstance(data, list) or not all(type(x) is int for x in data):
         raise UAlgError(f"bad {what}: expected a JSON array of integers")
     return data
@@ -129,8 +125,8 @@ def _assignment_doc(assignment) -> dict | None:
 # commands
 
 
-def cmd_check_identity(ws: Workspace, args) -> tuple[int, dict, list[str]]:
-    X = ws.algebra(args.algebra)
+def cmd_check_identity(args) -> tuple[int, dict, list[str]]:
+    X = _algebra(args.algebra)
     p = parse_term(_read_arg(args.p), X.sig)
     q = parse_term(_read_arg(args.q), X.sig)
     verdict = holds(X, p, q)
@@ -151,8 +147,8 @@ def cmd_check_identity(ws: Workspace, args) -> tuple[int, dict, list[str]]:
     return 1, payload, human
 
 
-def cmd_variety_check(ws: Workspace, args) -> tuple[int, dict, list[str]]:
-    X = ws.algebra(args.algebra)
+def cmd_variety_check(args) -> tuple[int, dict, list[str]]:
+    X = _algebra(args.algebra)
     results = []
     first_failure = None
     for raw in args.identities:
@@ -182,8 +178,8 @@ def cmd_variety_check(ws: Workspace, args) -> tuple[int, dict, list[str]]:
     return (0 if first_failure is None else 1), payload, human
 
 
-def cmd_eval(ws: Workspace, args) -> tuple[int, dict, list[str]]:
-    X = ws.algebra(args.algebra)
+def cmd_eval(args) -> tuple[int, dict, list[str]]:
+    X = _algebra(args.algebra)
     term = parse_term(_read_arg(args.term), X.sig)
     assignment = _parse_assignment(args.assignment)
     value = evaluate(term, X, assignment)
@@ -196,9 +192,9 @@ def cmd_eval(ws: Workspace, args) -> tuple[int, dict, list[str]]:
     return 0, payload, [str(value)]
 
 
-def cmd_hom_check(ws: Workspace, args) -> tuple[int, dict, list[str]]:
-    X = ws.algebra(args.source)
-    Y = ws.algebra(args.target)
+def cmd_hom_check(args) -> tuple[int, dict, list[str]]:
+    X = _algebra(args.source)
+    Y = _algebra(args.target)
     phi = CarrierMap(X.size, Y.size, tuple(_parse_int_list(args.map, "map")))
     verdict = is_homomorphism(phi, X, Y)
     counterexample = None
@@ -217,8 +213,8 @@ def cmd_hom_check(ws: Workspace, args) -> tuple[int, dict, list[str]]:
     return 1, payload, [f"FAIL: not a homomorphism, violation at {counterexample}"]
 
 
-def cmd_subalgebra(ws: Workspace, args) -> tuple[int, dict, list[str]]:
-    X = ws.algebra(args.algebra)
+def cmd_subalgebra(args) -> tuple[int, dict, list[str]]:
+    X = _algebra(args.algebra)
     seed = _parse_int_list(args.seed, "seed")
     members, sub = subalgebra_generated(X, seed)
     payload = {
@@ -231,8 +227,8 @@ def cmd_subalgebra(ws: Workspace, args) -> tuple[int, dict, list[str]]:
     return 0, payload, human
 
 
-def cmd_product(ws: Workspace, args) -> tuple[int, dict, list[str]]:
-    factors = [ws.algebra(name) for name in args.algebras]
+def cmd_product(args) -> tuple[int, dict, list[str]]:
+    factors = [_algebra(name) for name in args.algebras]
     prod, projections = product(factors)
     payload = {
         "factors": list(args.algebras),
@@ -243,8 +239,8 @@ def cmd_product(ws: Workspace, args) -> tuple[int, dict, list[str]]:
     return 0, payload, [f"product size: {prod.size}"]
 
 
-def cmd_quotient(ws: Workspace, args) -> tuple[int, dict, list[str]]:
-    X = ws.algebra(args.algebra)
+def cmd_quotient(args) -> tuple[int, dict, list[str]]:
+    X = _algebra(args.algebra)
     part = Partition.parse(_read_arg(args.partition))
     try:
         Y, qmap = quotient(X, part)
@@ -275,9 +271,9 @@ def cmd_quotient(ws: Workspace, args) -> tuple[int, dict, list[str]]:
     return 0, payload, [f"quotient size: {Y.size}", f"map: {list(qmap.values)}"]
 
 
-def cmd_congruences(ws: Workspace, args) -> tuple[int, dict, list[str]]:
-    X = ws.algebra(args.algebra)
-    congruences = all_congruences(X, max_partitions=ws.max_partitions)
+def cmd_congruences(args) -> tuple[int, dict, list[str]]:
+    X = _algebra(args.algebra)
+    congruences = all_congruences(X, max_partitions=args.max_partitions)
     payload = {
         "algebra": args.algebra,
         "count": len(congruences),
@@ -286,12 +282,9 @@ def cmd_congruences(ws: Workspace, args) -> tuple[int, dict, list[str]]:
     return 0, payload, [c.format() for c in congruences] + [f"count: {len(congruences)}"]
 
 
-def cmd_gen_congruence(ws: Workspace, args) -> tuple[int, dict, list[str]]:
-    X = ws.algebra(args.algebra)
-    try:
-        data = _loads(_read_arg(args.pairs), "pairs")
-    except json.JSONDecodeError as exc:
-        raise UAlgError(f"bad pairs: {exc}") from None
+def cmd_gen_congruence(args) -> tuple[int, dict, list[str]]:
+    X = _algebra(args.algebra)
+    data = _json_arg(args.pairs, "pairs")
     if not isinstance(data, list) or not all(
         isinstance(p, list) and len(p) == 2 and all(type(x) is int for x in p) for p in data
     ):
@@ -301,9 +294,9 @@ def cmd_gen_congruence(ws: Workspace, args) -> tuple[int, dict, list[str]]:
     return 0, payload, [result.format()]
 
 
-def cmd_translations(ws: Workspace, args) -> tuple[int, dict, list[str]]:
-    X = ws.algebra(args.algebra)
-    tree = semigroup_tree(X, cap=ws.max_semigroup)
+def cmd_translations(args) -> tuple[int, dict, list[str]]:
+    X = _algebra(args.algebra)
+    tree = semigroup_tree(X, cap=args.max_semigroup)
     members = [
         {"word": word, "table": list(table)} for word, table in zip(tree.format_words(), tree.tables)
     ]
@@ -320,11 +313,11 @@ def cmd_translations(ws: Workspace, args) -> tuple[int, dict, list[str]]:
     return 0, payload, human
 
 
-def cmd_malcev(ws: Workspace, args) -> tuple[int, dict, list[str]]:
+def cmd_malcev(args) -> tuple[int, dict, list[str]]:
     target = args.target
     if _is_decimal(target):
         k = int(target)
-        enumeration = find_malcev_operations(k, cap=ws.max_clone)
+        enumeration = find_malcev_operations(k, cap=args.max_clone)
         payload = {
             "mode": "enumerate",
             "k": k,
@@ -337,8 +330,8 @@ def cmd_malcev(ws: Workspace, args) -> tuple[int, dict, list[str]]:
             + ("" if enumeration.complete else " (incomplete: cap reached)")
         ]
         return (0 if enumeration.complete else 3), payload, human
-    X = ws.algebra(target)
-    witness = has_malcev_term(X, cap=ws.max_clone)
+    X = _algebra(target)
+    witness = has_malcev_term(X, cap=args.max_clone)
     try:
         gm = group_malcev(X)
     except UAlgError:  # not a group, or not over the group signature
@@ -356,9 +349,9 @@ def cmd_malcev(ws: Workspace, args) -> tuple[int, dict, list[str]]:
     return (0 if witness.ok else 1), payload, human
 
 
-def cmd_clone(ws: Workspace, args) -> tuple[int, dict, list[str]]:
-    X = ws.algebra(args.algebra)
-    clone = clone_ternary_terms(X, cap=ws.max_clone)
+def cmd_clone(args) -> tuple[int, dict, list[str]]:
+    X = _algebra(args.algebra)
+    clone = clone_ternary_terms(X, cap=args.max_clone)
     witness = next((t for t in clone if table_is_malcev(t, X.size)), None)
     payload = {
         "algebra": args.algebra,
@@ -370,8 +363,8 @@ def cmd_clone(ws: Workspace, args) -> tuple[int, dict, list[str]]:
     return 0, payload, human
 
 
-def cmd_factorize(ws: Workspace, args) -> tuple[int, dict, list[str]]:
-    X = ws.algebra(args.algebra)
+def cmd_factorize(args) -> tuple[int, dict, list[str]]:
+    X = _algebra(args.algebra)
     f = _parse_map(args.map, X.size)
     least = least_factorization(X, f)
     payload = {
@@ -388,8 +381,8 @@ def cmd_factorize(ws: Workspace, args) -> tuple[int, dict, list[str]]:
         f"|Y| = {least.Y.size}",
         f"h = {list(least.h.values)}",
     ]
-    if ws.oracle:
-        enumerated = enumerate_factorizations(X, f, max_partitions=ws.max_partitions)
+    if args.oracle:
+        enumerated = enumerate_factorizations(X, f, max_partitions=args.max_partitions)
         greatest = greatest_factorization(X, f)
         least_ok = all(precedes(least, F).ok for F in enumerated)
         greatest_ok = all(precedes(F, greatest).ok for F in enumerated)
@@ -406,7 +399,7 @@ def cmd_factorize(ws: Workspace, args) -> tuple[int, dict, list[str]]:
     return 0, payload, human
 
 
-def cmd_fixtures(ws: Workspace, args) -> tuple[int, dict, list[str]]:
+def cmd_fixtures(args) -> tuple[int, dict, list[str]]:
     entries = []
     for name in fixtures.fixture_names():
         X = fixtures.get_fixture(name)
@@ -419,21 +412,46 @@ def cmd_fixtures(ws: Workspace, args) -> tuple[int, dict, list[str]]:
 # ---------------------------------------------------------------------------
 # parser / entry point
 
+# name: (handler, help, {positional: add_argument options}); usage lists the names in this order
 _COMMANDS = {
-    "check-identity": cmd_check_identity,
-    "variety-check": cmd_variety_check,
-    "eval": cmd_eval,
-    "hom-check": cmd_hom_check,
-    "subalgebra": cmd_subalgebra,
-    "product": cmd_product,
-    "quotient": cmd_quotient,
-    "congruences": cmd_congruences,
-    "gen-congruence": cmd_gen_congruence,
-    "translations": cmd_translations,
-    "malcev": cmd_malcev,
-    "clone": cmd_clone,
-    "factorize": cmd_factorize,
-    "fixtures": cmd_fixtures,
+    "check-identity": (cmd_check_identity, "check p ≈ q on an algebra", {"algebra": {}, "p": {}, "q": {}}),
+    "variety-check": (
+        cmd_variety_check, "check a list of identities 'p=q'", {"algebra": {}, "identities": {"nargs": "+"}}
+    ),
+    "eval": (
+        cmd_eval,
+        "evaluate a term under an assignment",
+        {"algebra": {}, "term": {}, "assignment": {"nargs": "?", "default": "", "help": "e.g. 'v1=0,v2=3'"}},
+    ),
+    "hom-check": (
+        cmd_hom_check,
+        "check a map for the homomorphism property",
+        {"source": {}, "target": {}, "map": {"help": "JSON array of images"}},
+    ),
+    "subalgebra": (
+        cmd_subalgebra,
+        "subalgebra generated by a seed set",
+        {"algebra": {}, "seed": {"help": "JSON array of elements"}},
+    ),
+    "product": (cmd_product, "componentwise product", {"algebras": {"nargs": "+"}}),
+    "quotient": (
+        cmd_quotient, "quotient by a congruence", {"algebra": {}, "partition": {"help": "e.g. '0,2|1,3'"}}
+    ),
+    "congruences": (cmd_congruences, "list all congruences", {"algebra": {}}),
+    "gen-congruence": (
+        cmd_gen_congruence,
+        "congruence generated by pairs",
+        {"algebra": {}, "pairs": {"help": "JSON array of [a,b] pairs"}},
+    ),
+    "translations": (cmd_translations, "principal translations and semigroup", {"algebra": {}}),
+    "malcev": (
+        cmd_malcev, "enumerate (size) or detect (algebra)", {"target": {"help": "carrier size or algebra name"}}
+    ),
+    "clone": (cmd_clone, "ternary term operations", {"algebra": {}}),
+    "factorize": (
+        cmd_factorize, "least factorization of a map", {"algebra": {}, "map": {"help": "JSON array of images"}}
+    ),
+    "fixtures": (cmd_fixtures, "list built-in algebras", {}),
 }
 
 
@@ -468,71 +486,11 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     metavar = None if only is None else "{" + ",".join(_COMMANDS) + "}"
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
-    if only in (None, "check-identity"):
-        p = sub.add_parser("check-identity", parents=[common], help="check p ≈ q on an algebra")
-        p.add_argument("algebra")
-        p.add_argument("p")
-        p.add_argument("q")
-
-    if only in (None, "variety-check"):
-        p = sub.add_parser("variety-check", parents=[common], help="check a list of identities 'p=q'")
-        p.add_argument("algebra")
-        p.add_argument("identities", nargs="+")
-
-    if only in (None, "eval"):
-        p = sub.add_parser("eval", parents=[common], help="evaluate a term under an assignment")
-        p.add_argument("algebra")
-        p.add_argument("term")
-        p.add_argument("assignment", nargs="?", default="", help="e.g. 'v1=0,v2=3'")
-
-    if only in (None, "hom-check"):
-        p = sub.add_parser("hom-check", parents=[common], help="check a map for the homomorphism property")
-        p.add_argument("source")
-        p.add_argument("target")
-        p.add_argument("map", help="JSON array of images")
-
-    if only in (None, "subalgebra"):
-        p = sub.add_parser("subalgebra", parents=[common], help="subalgebra generated by a seed set")
-        p.add_argument("algebra")
-        p.add_argument("seed", help="JSON array of elements")
-
-    if only in (None, "product"):
-        p = sub.add_parser("product", parents=[common], help="componentwise product")
-        p.add_argument("algebras", nargs="+")
-
-    if only in (None, "quotient"):
-        p = sub.add_parser("quotient", parents=[common], help="quotient by a congruence")
-        p.add_argument("algebra")
-        p.add_argument("partition", help="e.g. '0,2|1,3'")
-
-    if only in (None, "congruences"):
-        p = sub.add_parser("congruences", parents=[common], help="list all congruences")
-        p.add_argument("algebra")
-
-    if only in (None, "gen-congruence"):
-        p = sub.add_parser("gen-congruence", parents=[common], help="congruence generated by pairs")
-        p.add_argument("algebra")
-        p.add_argument("pairs", help="JSON array of [a,b] pairs")
-
-    if only in (None, "translations"):
-        p = sub.add_parser("translations", parents=[common], help="principal translations and semigroup")
-        p.add_argument("algebra")
-
-    if only in (None, "malcev"):
-        p = sub.add_parser("malcev", parents=[common], help="enumerate (size) or detect (algebra)")
-        p.add_argument("target", help="carrier size or algebra name")
-
-    if only in (None, "clone"):
-        p = sub.add_parser("clone", parents=[common], help="ternary term operations")
-        p.add_argument("algebra")
-
-    if only in (None, "factorize"):
-        p = sub.add_parser("factorize", parents=[common], help="least factorization of a map")
-        p.add_argument("algebra")
-        p.add_argument("map", help="JSON array of images")
-
-    if only in (None, "fixtures"):
-        sub.add_parser("fixtures", parents=[common], help="list built-in algebras")
+    for name in _COMMANDS if only is None else [only]:
+        _, help_text, positionals = _COMMANDS[name]
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        for arg, options in positionals.items():
+            p.add_argument(arg, **options)
     return parser
 
 
@@ -589,8 +547,8 @@ def _dumps(value) -> str:
     return "".join(out)
 
 
-def _emit(ws: Workspace | None, command: str, code: int, payload: dict, human: list[str]) -> None:
-    if ws is not None and ws.json:
+def _emit(as_json: bool, command: str, code: int, payload: dict, human: list[str]) -> None:
+    if as_json:
         doc = {"schema": SCHEMA, "command": command, "exit_code": code}
         doc.update(payload)
         sys.stdout.write(_dumps(doc) + "\n")
@@ -602,25 +560,16 @@ def _emit(ws: Workspace | None, command: str, code: int, payload: dict, human: l
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
-    ws = Workspace(args)
-    handler = _COMMANDS[args.command]
+    handler = _COMMANDS[args.command][0]
     try:
-        code, payload, human = handler(ws, args)
-    except SizeCapError as exc:
-        _emit(ws, args.command, 3, {"error": {"type": "SizeCapExceeded", "message": str(exc)}}, [])
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
+        code, payload, human = handler(args)
     except (UAlgError, ValueError, OSError) as exc:
-        _emit(
-            ws,
-            args.command,
-            2,
-            {"error": {"type": type(exc).__name__, "message": str(exc)}},
-            [],
-        )
+        code = 3 if isinstance(exc, SizeCapError) else 2
+        kind = "SizeCapExceeded" if code == 3 else type(exc).__name__
+        _emit(args.json, args.command, code, {"error": {"type": kind, "message": str(exc)}}, [])
         sys.stderr.write(f"error: {exc}\n")
-        return 2
-    _emit(ws, args.command, code, payload, human)
+        return code
+    _emit(args.json, args.command, code, payload, human)
     return code
 
 

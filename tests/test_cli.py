@@ -230,6 +230,44 @@ def test_json_booleans_rejected_in_algebra_files(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_algebra_files_with_a_signature_or_ops_of_the_wrong_json_type_are_format_errors(tmp_path, capsys):
+    unary = [{"symbol": "f", "arity": 1}]
+    path = tmp_path / "a.json"
+    for signature, ops in ((5, {}), (unary, ["f"]), (unary, "f"), ([], [])):
+        path.write_text(json.dumps({"signature": signature, "size": 2, "ops": ops}))
+        code, doc = run_json(["congruences", str(path)])
+        assert code == 2 and doc["error"]["type"] == "FormatError", (signature, ops)
+    capsys.readouterr()
+
+
+def test_algebras_past_the_fixed_limits_exit_3_before_allocating(tmp_path, capsys):
+    wide = [{"symbol": "f", "arity": 10**10}]
+    constant = [{"symbol": "c", "arity": 0}]
+    cases = (  # signature, carrier size, ops, commands that allocated past the limit or printed past it
+        (wide, 2, {"f": [0, 1]}, ["translations"]),
+        (wide, 1, {"f": [0]}, ["translations", "congruences", "clone"]),
+        (constant, 10**12, {"c": 0}, ["translations", "gen-congruence", "eval"]),
+        (constant, 5_000_000, {"c": 0}, ["translations"]),
+        ([{"symbol": "f", "arity": 21}], 2, {"f": []}, ["congruences"]),
+        ([{"symbol": "f", "arity": 2}], 2000, {"f": []}, ["congruences"]),
+    )
+    extra = {"gen-congruence": ["[[0,1]]"], "eval": ["c"]}
+    tracemalloc.start()
+    try:
+        for i, (signature, size, ops, commands) in enumerate(cases):
+            path = tmp_path / f"{i}.json"
+            path.write_text(json.dumps({"signature": signature, "size": size, "ops": ops}))
+            for command in commands:
+                code, doc = run_json([command, str(path), *extra.get(command, [])])
+                assert code == 3 and doc["error"]["type"] == "SizeCapExceeded", (i, command)
+                assert "limit of" in doc["error"]["message"], (i, command)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    capsys.readouterr()
+
+
 def test_json_booleans_rejected_in_integer_arguments(capsys):
     code, doc = run_json(["hom-check", "Z2", "Z2", "[false,true]"])
     assert code == 2 and doc["error"]["type"] == "UAlgError"
