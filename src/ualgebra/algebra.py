@@ -38,7 +38,7 @@ ARITY_CAP = 20  # log2(TABLE_CAP): a higher arity overflows TABLE_CAP on any car
 
 def _check_length(entries: int) -> None:
     if entries > TABLE_CAP:
-        raise SizeCapError(f"a table of {entries} entries exceeds the limit of {TABLE_CAP} entries")
+        raise SizeCapError(f"a table of {entries} entries exceeds the fixed limit of {TABLE_CAP} entries")
 
 
 def projection_tables(sizes: Sequence[int]) -> list[tuple[int, ...]]:
@@ -398,9 +398,7 @@ def subalgebra_generated(X: FiniteAlgebra, seed: Iterable[int]) -> Subalgebra:
 
 
 def product(
-    factors: Sequence[FiniteAlgebra],
-    sig: Signature | None = None,
-    carrier_cap: int = CARRIER_CAP,
+    factors: Sequence[FiniteAlgebra], sig: Signature | None = None
 ) -> tuple[FiniteAlgebra, list[CarrierMap]]:
     """Componentwise product; carrier is the lexicographic encoding of tuples.
 
@@ -417,8 +415,8 @@ def product(
         sig = Signature([])
     sizes = [f.size for f in factors]
     total = math.prod(sizes)
-    if total > carrier_cap:
-        raise SizeCapError(f"product carrier {total} exceeds cap {carrier_cap}")
+    if total > CARRIER_CAP:
+        raise SizeCapError(f"product carrier {total} exceeds the fixed limit of {CARRIER_CAP} elements")
     if not factors:
         return _algebra(sig, 1, {name: (0,) for name, _ in sig}), []
     coordinates = projection_tables(sizes)
@@ -434,9 +432,7 @@ def quotient(X: FiniteAlgebra, part: Partition) -> tuple[FiniteAlgebra, CarrierM
     Blocks become carrier elements in canonical order.  Raises
     ``NotACongruenceError`` (with a violating translation and pair) otherwise.
     """
-    if part.size != X.size:
-        raise SizeMismatchError(f"partition size {part.size} != carrier size {X.size}")
-    verdict = is_congruence_via_translations(X, part)
+    verdict = is_congruence_via_translations(X, part)  # raises SizeMismatchError on a wrong size
     if not verdict:
         raise NotACongruenceError(verdict.witness)
     reps = [block[0] for block in part.blocks()]
@@ -446,10 +442,7 @@ def quotient(X: FiniteAlgebra, part: Partition) -> tuple[FiniteAlgebra, CarrierM
 
 
 def diagonal_hom(
-    X: FiniteAlgebra,
-    targets: Sequence[FiniteAlgebra],
-    maps: Sequence[CarrierMap],
-    carrier_cap: int = CARRIER_CAP,
+    X: FiniteAlgebra, targets: Sequence[FiniteAlgebra], maps: Sequence[CarrierMap]
 ) -> tuple[CarrierMap, FiniteAlgebra, bool]:
     """Diagonal ``x -> (φ1(x), ..., φr(x))`` into the product of the targets.
 
@@ -462,7 +455,7 @@ def diagonal_hom(
     for phi, Y in zip(maps, targets):
         if not is_homomorphism(phi, X, Y):
             raise ValueError("diagonal_hom requires homomorphisms")
-    prod, _ = product(list(targets), carrier_cap=carrier_cap)
+    prod, _ = product(list(targets))
     values = _encode([Y.size for Y in targets], [phi.values for phi in maps])
     diag = CarrierMap(X.size, prod.size, tuple(values))
     return diag, prod, diag.is_injective()

@@ -32,7 +32,7 @@ from .algebra import (
     subalgebra_generated,
 )
 from .congruences import PARTITION_ENUM_CAP, all_congruences, congruence_generated
-from .errors import FormatError, NotACongruenceError, SizeCapError, UAlgError
+from .errors import FormatError, NotACongruenceError, SizeCapError, UAlgError, decimal
 from .factorization import enumerate_factorizations, greatest_factorization, least_factorization, precedes
 from .malcev import CLONE_CAP, clone_ternary_terms, find_malcev_operations, group_malcev
 from .malcev import has_malcev_term, table_is_malcev
@@ -55,11 +55,15 @@ def _algebra(name: str) -> FiniteAlgebra:
 
 
 def _loads(text: str, what: str):
-    """``json.loads``; a document nested too deeply for the decoder is a FormatError."""
+    """``json.loads``; JSON nested too deeply, or an integer too long for ``int()``, is a FormatError."""
     try:
         return json.loads(text)
     except RecursionError:
         raise FormatError(f"bad {what}: JSON nested too deeply") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # int() past Python's integer-string limit
+        raise FormatError(f"bad {what}: an integer has more digits than Python's integer-string limit") from None
 
 
 def _read_arg(text: str) -> str:
@@ -109,9 +113,10 @@ def _parse_assignment(text: str) -> dict[int, int]:
             raise UAlgError(f"bad variable name {var!r} in assignment")
         if not _is_decimal(value):
             raise UAlgError(f"bad value in assignment entry {piece!r}, expected decimal digits")
-        if int(var[1:]) in out:
+        index = decimal(var[1:], UAlgError, "variable index")
+        if index in out:
             raise UAlgError(f"variable {var} assigned twice in assignment")
-        out[int(var[1:])] = int(value)
+        out[index] = decimal(value, UAlgError, "assignment value")
     return out
 
 
@@ -316,7 +321,7 @@ def cmd_translations(args) -> tuple[int, dict, list[str]]:
 def cmd_malcev(args) -> tuple[int, dict, list[str]]:
     target = args.target
     if _is_decimal(target):
-        k = int(target)
+        k = decimal(target, UAlgError, "carrier size")
         enumeration = find_malcev_operations(k, cap=args.max_clone)
         payload = {
             "mode": "enumerate",

@@ -3,8 +3,8 @@ congruence refining a given partition.
 
 Two congruence tests are provided: the direct definition (componentwise
 equivalent argument tuples give equivalent values) and the principal
-translation criterion (unary translates of equivalent pairs stay
-equivalent).  They agree on every input; the translation route powers the
+translation criterion (each principal translation maps every block into
+one block).  They agree on every input; the translation route powers the
 generation and refinement algorithms.  The congruence lattice is listed as
 the join-closure of the principal congruences Cg(a, b), never by testing
 partitions.
@@ -54,21 +54,21 @@ def is_congruence_direct(X, part: Partition) -> Check:
 def is_congruence_via_translations(X, part: Partition) -> Check:
     """Principal-translation criterion; agrees with the direct check.
 
-    Witness on failure: ``(translation, (x, y))`` — the first violating
-    principal translation (canonical order) and equivalent pair.
+    A partition is a congruence iff each principal translation maps every
+    block into one block, so each element is compared with its block's least
+    member.  Witness on failure: ``(translation, (a, x))`` — the first
+    violating principal translation (canonical order) and the least pair it
+    separates; if it separates x < y in a block, it separates (a, x) or (a, y).
     """
     if part.size != X.size:
         raise SizeMismatchError(f"partition size {part.size} != carrier size {X.size}")
-    pairs = [
-        (x, y)
-        for x in range(X.size)
-        for y in range(x + 1, X.size)
-        if part.same(x, y)
-    ]
+    block = part.block_of
+    pairs = [(members[0], x) for members in part.blocks() for x in members[1:]]  # ascending
     for tr in principal_translations(X):
-        for x, y in pairs:
-            if not part.same(tr.table[x], tr.table[y]):
-                return Check(False, (tr, (x, y)))
+        t = tr.table
+        found = [(a, x) for a, x in pairs if block[t[a]] != block[t[x]]]
+        if found:
+            return Check(False, (tr, found[0]))
     return Check(True)
 
 

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by the whole package."""
+"""Exception hierarchy shared by the whole package, and ``decimal``, which raises it."""
 
 
 class UAlgError(Exception):
@@ -73,3 +73,11 @@ class NotAGroupError(UAlgError):
 
 class MismatchedBaseError(UAlgError):
     """Two factorizations do not factor the same map."""
+
+
+def decimal(digits: str, error: type[UAlgError], what: str) -> int:
+    """``int(digits)``; past Python's integer-string limit it raises ``error``."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise error(f"{what} has {len(digits)} digits, past Python's integer-string limit") from None

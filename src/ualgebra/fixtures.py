@@ -1,8 +1,7 @@
 """Built-in algebras and identity sets used across tests and the CLI."""
 
 import itertools
-import re
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .algebra import FiniteAlgebra
 from .signature import Signature
@@ -109,29 +108,21 @@ def malcev_algebra_from(table) -> FiniteAlgebra:
 
 
 # ---------------------------------------------------------------------------
-# named registry (CLI)
+# named registry (CLI), in the order ``ualg fixtures`` lists it
 
-_ZN_RE = re.compile(r"Z([2-8])")
-_SINF_RE = re.compile(r"Sinf([2-8])")
+_FIXTURES = {
+    **{f"Z{n}": partial(cyclic_group, n) for n in range(2, 9)},
+    "V4": klein_four,
+    "SL2": semilattice2,
+    **{f"Sinf{n}": partial(adjoined_infinity_monoid, n) for n in range(2, 9)},
+}
 
 
 def fixture_names() -> list[str]:
-    names = [f"Z{n}" for n in range(2, 9)]
-    names += ["V4", "SL2"]
-    names += [f"Sinf{n}" for n in range(2, 9)]
-    return names
+    return list(_FIXTURES)
 
 
 def get_fixture(name: str) -> FiniteAlgebra | None:
     """Resolve a registry name (Z2..Z8, V4, SL2, Sinf2..Sinf8), else None."""
-    m = _ZN_RE.fullmatch(name)
-    if m:
-        return cyclic_group(int(m.group(1)))
-    if name == "V4":
-        return klein_four()
-    if name == "SL2":
-        return semilattice2()
-    m = _SINF_RE.fullmatch(name)
-    if m:
-        return adjoined_infinity_monoid(int(m.group(1)))
-    return None
+    make = _FIXTURES.get(name)
+    return make() if make else None

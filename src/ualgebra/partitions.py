@@ -9,7 +9,7 @@ elements with ``,``: ``"0,2|1,3"``.
 from collections import deque
 from typing import Hashable, Iterable, Iterator, Sequence
 
-from .errors import PartitionError, SizeMismatchError
+from .errors import PartitionError, SizeMismatchError, decimal
 
 
 class Partition:
@@ -92,7 +92,7 @@ class Partition:
                 piece = piece.strip()
                 if not (piece.isascii() and piece.isdigit()):
                     raise PartitionError(f"bad partition element {piece!r}")
-                elems.append(int(piece))
+                elems.append(decimal(piece, PartitionError, "partition element"))
             blocks.append(elems)
         size = sum(len(b) for b in blocks)
         return cls.from_blocks(size, blocks)

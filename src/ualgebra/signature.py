@@ -7,7 +7,7 @@ signature ``"m/2 i/1 e/0"``.
 import re
 from typing import Iterable, Iterator
 
-from .errors import DuplicateSymbolError, FormatError, ParseError, UnknownSymbolError
+from .errors import DuplicateSymbolError, FormatError, ParseError, UnknownSymbolError, decimal
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _ENTRY_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)/([0-9]+)")
@@ -95,6 +95,6 @@ def parse_signature(text: str) -> Signature:
         m = _ENTRY_RE.match(text, pos)
         if m is None or (m.end() < length and not text[m.end()].isspace()):
             raise ParseError("expected 'name/arity' entry", pos)
-        entries.append((m.group(1), int(m.group(2))))
+        entries.append((m.group(1), decimal(m.group(2), ParseError, "arity")))
         pos = m.end()
     return Signature(entries)

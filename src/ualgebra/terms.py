@@ -17,6 +17,7 @@ from .errors import (
     SignatureMismatchError,
     UnboundVariableError,
     UnknownSymbolError,
+    decimal,
 )
 from .signature import Signature
 
@@ -102,7 +103,7 @@ def _parse_term(tokens, i, sig, depth):
         raise ParseError(f"expected a term, found {value!r}", pos)
     var = _VAR_RE.fullmatch(value)
     if var is not None:
-        return Variable(int(var.group(1))), i + 1
+        return Variable(decimal(var.group(1), ParseError, "variable index")), i + 1
     if i + 1 < len(tokens) and tokens[i + 1][0] == "(":
         if depth == MAX_TERM_DEPTH:
             raise ParseError(f"term nests deeper than {MAX_TERM_DEPTH} levels", tokens[i + 1][2])

@@ -5,10 +5,13 @@ deliberately sharing no algorithmic route with the library: set partitions
 are enumerated recursively (not as restricted-growth strings), semigroup
 and clone closures run as repeated full passes over raw tables, the
 largest-congruence oracle filters the whole congruence lattice, and terms
-are evaluated one assignment at a time by recursion.  The one exception is
-``frozen_word_semigroup``: the closure loop that the translation semigroup
-used before it kept its members as a tree, kept as the reference it must
-reproduce member for member.
+are evaluated one assignment at a time by recursion.  Two are exceptions,
+routes the library used before, kept as the references it must reproduce
+exactly: ``frozen_word_semigroup``, the closure loop that the translation
+semigroup used before it kept its members as a tree, and
+``naive_translation_witness``, the same-block pair scan that the
+translation congruence test used before it compared each element with its
+block's least member.
 """
 
 import itertools
@@ -16,6 +19,7 @@ import random
 from operator import itemgetter
 
 from ualgebra import Constant, FiniteAlgebra, Translation, Variable, principal_translations
+from ualgebra.check import Check
 from ualgebra.errors import SizeCapError
 
 
@@ -124,6 +128,22 @@ def frozen_word_semigroup(X, cap):
                 nxt.append(new)
         frontier = nxt
     return members
+
+
+def naive_translation_witness(X, part):
+    """Every same-block pair under every principal translation: the verdict
+    and the first (translation, pair) it finds separated."""
+    pairs = [
+        (x, y)
+        for x in range(X.size)
+        for y in range(x + 1, X.size)
+        if part.same(x, y)
+    ]
+    for tr in principal_translations(X):
+        for x, y in pairs:
+            if not part.same(tr.table[x], tr.table[y]):
+                return Check(False, (tr, (x, y)))
+    return Check(True)
 
 
 def naive_clone_tables(X):

@@ -8,11 +8,12 @@ raw ``MemoryError``, ``TypeError`` or a run that does not end.
 import io
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ualgebra import FiniteAlgebra, Partition, Signature, cli, parse_signature, parse_term
-from ualgebra.errors import UAlgError
+from ualgebra.errors import ParseError, PartitionError, UAlgError
 
 BIG = 10**12
 boundary_test = settings(derandomize=True, max_examples=60, deadline=None)
@@ -75,6 +76,25 @@ def test_parse_assignment_raises_only_ualg_errors(text):
         cli._parse_assignment(text)
     except UAlgError:
         pass
+
+
+LONG = "1" * 5000  # past Python's default limit of 4,300 digits for int()
+
+
+@pytest.mark.parametrize(
+    "parse, text, error",
+    [
+        (lambda text: parse_term(text, Signature([])), "v" + LONG, ParseError),
+        (parse_signature, "f/" + LONG, ParseError),
+        (Partition.parse, LONG, PartitionError),
+        (cli._parse_assignment, "v1=" + LONG, UAlgError),
+        (cli._parse_assignment, f"v{LONG}=1", UAlgError),
+    ],
+    ids=["parse_term", "parse_signature", "Partition.parse", "assignment value", "assignment variable"],
+)
+def test_decimals_past_the_integer_string_limit_raise_typed_errors(parse, text, error):
+    with pytest.raises(error, match="has 5000 digits"):
+        parse(text)
 
 
 @boundary_test

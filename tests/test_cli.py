@@ -6,7 +6,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from ualgebra import CarrierMap, Signature, kernel, least_factorization
+from ualgebra import CarrierMap, Signature, fixtures, kernel, least_factorization
 from ualgebra.cli import _COMMANDS, build_parser, main
 from ualgebra.terms import MAX_TERM_DEPTH
 
@@ -49,6 +49,14 @@ def test_check_identity_parse_error_exit_2(capsys):
 def test_unknown_algebra_exit_2(capsys):
     assert main(["congruences", "NoSuch"]) == 2
     assert "unknown algebra" in capsys.readouterr().err
+
+
+def test_fixture_registry_resolves_exactly_the_listed_names():
+    names = fixtures.fixture_names()
+    assert names == [f"Z{n}" for n in range(2, 9)] + ["V4", "SL2"] + [f"Sinf{n}" for n in range(2, 9)]
+    assert [fixtures.get_fixture(name).size for name in names] == [*range(2, 9), 4, 2, *range(3, 10)]
+    for name in ["Z1", "Z9", "Z02", "z4", "Sinf9", "V4 ", "Sinf1", ""]:
+        assert fixtures.get_fixture(name) is None, name
 
 
 def test_variety_check():
@@ -462,3 +470,26 @@ def test_malcev_listings_past_the_table_limit_stop_before_enumerating(capsys):
     code, doc = run_json(["malcev", "3", "--max-clone", "100"])
     assert code == 3 and doc["count"] == 100 and doc["complete"] is False
     capsys.readouterr()
+
+
+def test_decimals_past_the_integer_string_limit_exit_2_with_typed_errors(tmp_path, capsys):
+    long = "1" * 5000  # past Python's default limit of 4,300 digits for int()
+    algebra = tmp_path / "long.json"
+    algebra.write_text('{"signature": [], "size": ' + long + ', "ops": {}}')
+    cases = [
+        (["malcev", long], "UAlgError"),
+        (["eval", "Z4", "v1", "v1=" + long], "UAlgError"),
+        (["eval", "Z4", "v1", f"v{long}=1"], "UAlgError"),
+        (["check-identity", "Z4", "v" + long, "v1"], "ParseError"),
+        (["quotient", "Z4", long], "PartitionError"),
+        (["congruences", str(algebra)], "FormatError"),
+        (["factorize", "Z4", f"[0,{long},0,1]"], "FormatError"),
+        (["hom-check", "Z4", "Z2", f"[0,1,0,{long}]"], "FormatError"),
+        (["gen-congruence", "Z4", f"[[0,{long}]]"], "FormatError"),
+    ]
+    for argv, kind in cases:
+        code, doc = run_json(argv)
+        assert (code, doc["error"]["type"]) == (2, kind), argv[:2]
+        assert "digits" in doc["error"]["message"], argv[:2]
+    code, doc = run_json(["factorize", "Z4", "[0,1,0"])  # malformed JSON keeps its message
+    assert doc["error"]["message"].startswith("bad map: Expecting ',' delimiter")

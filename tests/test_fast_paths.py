@@ -1,15 +1,20 @@
 """Generated algebras: each fast path against its oracle in ``_oracles``.
 
 Algebras have at most 4 elements, over the signatures of the translation
-tests, with random tables or a planted congruence.
+tests, with random tables or a planted congruence.  One timing test checks
+that ``quotient`` stays fast on a planted algebra of 512 elements.
 """
 
+import random
+import time
 from functools import partial
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ualgebra import FiniteAlgebra, Partition, all_congruences, evaluate, holds, largest_congruence_below
+from ualgebra import FiniteAlgebra, Partition, Signature, all_congruences, evaluate, holds
+from ualgebra import largest_congruence_below, quotient
+from ualgebra.congruences import is_congruence_via_translations
 from ualgebra.terms import Apply, Constant, Variable, vars_of
 from ualgebra.translations import semigroup_tree
 
@@ -19,6 +24,7 @@ from _oracles import (
     naive_holds,
     naive_largest_congruence_below,
     naive_semigroup_tables,
+    naive_translation_witness,
     planted_algebra,
 )
 from test_translations import SIGNATURES
@@ -87,3 +93,24 @@ def test_semigroup_tree_tables_match_the_oracle(X):
     tables = semigroup_tree(X).tables
     assert len(set(tables)) == len(tables)
     assert set(tables) == naive_semigroup_tables(X)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data())
+def test_translation_congruence_test_matches_the_pair_scan(data):
+    X = data.draw(algebras())
+    labels = data.draw(st.lists(st.integers(0, X.size - 1), min_size=X.size, max_size=X.size))
+    got = is_congruence_via_translations(X, Partition(labels))
+    want = naive_translation_witness(X, Partition(labels))
+    assert got.ok == want.ok
+    if not want.ok:
+        (translation, pair), (expected, expected_pair) = got.witness, want.witness
+        assert (translation.table, translation.word, pair) == (expected.table, expected.word, expected_pair)
+
+
+def test_quotient_of_a_planted_binary_algebra_of_512_elements_takes_under_2_s():
+    X, labels = planted_algebra(random.Random(512), 512, 2, Signature([("f", 2)]))
+    start = time.perf_counter()
+    Y, _ = quotient(X, Partition(labels))
+    assert time.perf_counter() - start < 2.0  # a scan of all same-block pairs takes seconds here
+    assert Y.size == 2
