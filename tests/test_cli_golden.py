@@ -1,9 +1,10 @@
 r"""Golden transcript of the command line: exit code and exact stdout per argv.
 
-``cli_golden.json`` pins the bytes of the criterion-10 commands (plain and
-``--json``) and of failing ``quotient`` calls whose partitions have two or
-more non-singleton blocks, so that the reported violation (translation,
-table and pair) cannot drift.  After a deliberate output change, regenerate
+``cli_golden.json`` pins the bytes of the criterion-10 commands and of
+``translations`` on four more fixtures (plain and ``--json``), and of
+failing ``quotient`` calls whose partitions have two or more non-singleton
+blocks, so that the reported violation (translation, table and pair)
+cannot drift.  After a deliberate output change, regenerate
 it from the repository root with
 
     PYTHONPATH=src:tests python -c "import json, test_cli_golden as g; g.GOLDEN.write_text(json.dumps([g.record(a) for a in g.ARGVS], indent=1) + '\n')"
@@ -52,8 +53,10 @@ _NOT_CONGRUENCES = [
 
 _CONGRUENCES = [("Z6", "0,2,4|1,3,5"), ("Z8", "0,4|1,5|2,6|3,7"), ("Sinf8", "0,4|1,5|2,6|3,7|8")]
 
+_TRANSLATIONS = [["translations", name] for name in ("V4", "Sinf3", "SL2", "Z6")]
+
 ARGVS = (
-    [argv + flags for argv in _CRITERION_10 for flags in ([], ["--json"])]
+    [argv + flags for argv in _CRITERION_10 + _TRANSLATIONS for flags in ([], ["--json"])]
     + [["quotient", name, part, "--json"] for name, part in _NOT_CONGRUENCES + _CONGRUENCES]
     + [["quotient", name, part] for name, part in _NOT_CONGRUENCES[::3]]
 )
