@@ -17,8 +17,10 @@ Exit codes: 0 success/PASS, 1 semantic FAIL, 2 usage or parse error,
 import argparse
 import json
 import sys
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import NamedTuple
 
 from . import fixtures
 from .algebra import (
@@ -278,13 +280,9 @@ def cmd_quotient(args) -> tuple[int, dict, list[str]]:
 
 def cmd_congruences(args) -> tuple[int, dict, list[str]]:
     X = _algebra(args.algebra)
-    congruences = all_congruences(X, max_partitions=args.max_partitions)
-    payload = {
-        "algebra": args.algebra,
-        "count": len(congruences),
-        "congruences": [c.format() for c in congruences],
-    }
-    return 0, payload, [c.format() for c in congruences] + [f"count: {len(congruences)}"]
+    texts = [c.format() for c in all_congruences(X, max_partitions=args.max_partitions)]
+    payload = {"algebra": args.algebra, "count": len(texts), "congruences": texts}
+    return 0, payload, texts + [f"count: {len(texts)}"]
 
 
 def cmd_gen_congruence(args) -> tuple[int, dict, list[str]]:
@@ -302,19 +300,17 @@ def cmd_gen_congruence(args) -> tuple[int, dict, list[str]]:
 def cmd_translations(args) -> tuple[int, dict, list[str]]:
     X = _algebra(args.algebra)
     tree = semigroup_tree(X, cap=args.max_semigroup)
-    members = [
-        {"word": word, "table": list(table)} for word, table in zip(tree.format_words(), tree.tables)
-    ]
+    words = tree.format_words()
     payload = {
         "algebra": args.algebra,
         "s1_size": len(tree.generators),
-        "s_size": len(members),
-        "members": members,
+        "s_size": len(words),
+        "members": Rows({"table": tree.tables, "word": words}),
     }
-    human = [f"|S1| = {len(tree.generators)}", f"|S| = {len(members)}"]
-    human += [
-        f"{m['word']} ⇒ [{','.join(str(v) for v in m['table'])}]" for m in members
-    ]
+    if args.json:
+        return 0, payload, []
+    human = [f"|S1| = {len(tree.generators)}", f"|S| = {len(words)}"]
+    human += [f"{word} ⇒ [{','.join(map(str, table))}]" for word, table in zip(words, tree.tables)]
     return 0, payload, human
 
 
@@ -499,13 +495,41 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+class Rows(NamedTuple):
+    """A JSON array of objects held column-wise: row i is ``{key: columns[key][i]}``.
+
+    Every column has one entry per row, and holds only str or only tuples
+    of int.
+    """
+
+    columns: dict[str, list]
+
+
+def _column_texts(column: list, newline: str) -> list[str]:
+    """The JSON text of each entry of a ``Rows`` column, at the indent ``newline`` carries."""
+    kinds = set(map(type, column))
+    if kinds <= {str}:
+        return list(map(encode_basestring_ascii, column))
+    if kinds == {tuple} and set(map(type, chain.from_iterable(column))) <= {int}:
+        values = set(chain.from_iterable(column))
+        text = dict(zip(values, map(int.__repr__, values)))  # each distinct int formatted once
+        inner = newline + "  "
+        opener, closer = "[" + inner, newline + "]"
+        joined = map(("," + inner).join, map(map, repeat(text.__getitem__), column))
+        return [opener + entries + closer if entries else "[]" for entries in joined]
+    raise TypeError("a Rows column must hold only str or only tuples of int")
+
+
 def _write_json(value, newline: str, out: list[str]) -> None:
     """Append to ``out`` the text ``json.dumps(value, indent=2, sort_keys=True)``
     gives, nested one level below the indent that ``newline`` carries.
 
     CPython's C encoder does not take ``indent``, so ``json.dumps`` falls
     back to its pure-Python one; this writer does less per value.  It takes
-    only what payloads hold: str-keyed dicts, lists, str, int, bool and None.
+    only what payloads hold: str-keyed dicts, lists, str, int, bool, None
+    and ``Rows``.  A ``Rows`` is written row by row as the array of objects
+    it stands for: each key's header (separator, indent and ``"key": ``) is
+    built once, and each row joins the headers with its entries' texts.
     """
     kind = type(value)
     if kind is str:
@@ -541,6 +565,22 @@ def _write_json(value, newline: str, out: list[str]) -> None:
             _write_json(value[key], inner, out)
             sep = "," + inner
         out.append(newline + "}")
+    elif kind is Rows:
+        columns = value.columns
+        if not all(type(key) is str for key in columns):
+            raise TypeError("JSON object keys must be str")
+        if len({len(column) for column in columns.values()}) > 1:
+            raise ValueError("Rows columns differ in length")
+        if not columns or not next(iter(columns.values())):
+            out.append("[]")
+            return
+        inner, field = newline + "  ", newline + "    "
+        parts, sep = [], "{" + field
+        for key in sorted(columns):
+            parts += [repeat(sep + encode_basestring_ascii(key) + ": "), _column_texts(columns[key], field)]
+            sep = "," + field
+        parts.append(repeat(inner + "}"))
+        out.append("[" + inner + ("," + inner).join(map("".join, zip(*parts))) + newline + "]")
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 

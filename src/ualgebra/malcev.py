@@ -11,7 +11,7 @@ import itertools
 from typing import Callable, NamedTuple
 
 from .check import Check
-from .errors import ArityMismatchError, NotAGroupError, SizeCapError
+from .errors import ArityMismatchError, NotAGroupError, SizeCapError, UAlgError
 from .fixtures import group_axioms
 from .algebra import TABLE_CAP, FiniteAlgebra, _check_length, in_equational_class, projection_tables
 from .terms import parse_term, term_table
@@ -54,7 +54,7 @@ def find_malcev_operations(k: int, cap: int | None = None) -> MalcevEnumeration:
     listing is truncated (flagged incomplete) once ``cap`` tables are out.
     """
     if k < 1:
-        raise ValueError("carrier size must be at least 1")
+        raise UAlgError("carrier size must be at least 1")
     k3 = k**3
     _check_length(k3)
     # count = k ** (free cells), multiplied out only until it passes the

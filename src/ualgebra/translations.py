@@ -107,21 +107,29 @@ def semigroup_tree(X, cap: int = SEMIGROUP_HARD_CAP) -> SemigroupTree:
     Breadth-first by word length with lexicographic tie-breaking, so every
     member carries a shortest witness word and the output order is
     deterministic.  Deduplication is by table; words are provenance only.
+
+    For k <= 256 the closure composes in ``bytes``: each generator becomes
+    the 256-byte map ``bytes(table) + bytes(range(k, 256))``, and member t
+    followed by generator g is ``t.translate(g)``.  Larger carriers compose
+    tuples with ``itemgetter``.  The returned tables are tuples either way.
     """
     k = X.size
     generators = principal_translations(X)
-    gen_tables = [g.table for g in generators]
-    tables = [tuple(range(k))]
+    if k <= 256:
+        gen_maps = [bytes(g.table) + bytes(range(k, 256)) for g in generators]
+        tables = [bytes(range(k))]
+    else:
+        gen_maps = [g.table for g in generators]
+        tables = [tuple(range(k))]
     parent, letter = [-1], [-1]
-    if k == 1:  # the identity is the only self-map, and itemgetter(0) would return a scalar
-        return SemigroupTree(generators, tables, parent, letter)
     seen = {tables[0]}
     start = 0
     while start < len(tables):  # members start..end-1 are the words of one length
         end = len(tables)
         for i in range(start, end):
-            pick = itemgetter(*tables[i])  # pick(g) is the table of member i followed by g
-            for j, table in enumerate(map(pick, gen_tables)):
+            t = tables[i]
+            pick = t.translate if k <= 256 else itemgetter(*t)  # pick(g) is member i followed by g
+            for j, table in enumerate(map(pick, gen_maps)):
                 if table in seen:
                     continue
                 if len(tables) >= cap:
@@ -133,7 +141,7 @@ def semigroup_tree(X, cap: int = SEMIGROUP_HARD_CAP) -> SemigroupTree:
                 parent.append(i)
                 letter.append(j)
         start = end
-    return SemigroupTree(generators, tables, parent, letter)
+    return SemigroupTree(generators, list(map(tuple, tables)), parent, letter)
 
 
 def translation_semigroup(X, cap: int = SEMIGROUP_HARD_CAP) -> list[Translation]:

@@ -135,6 +135,12 @@ def test_malcev_enumerate_cap_exit_3():
     assert code == 3 and doc["count"] == 2 and doc["complete"] is False
 
 
+def test_malcev_of_an_empty_carrier_is_a_typed_usage_error(capsys):
+    code, doc = run_json(["malcev", "0"])
+    assert code == 2 and doc["error"] == {"type": "UAlgError", "message": "carrier size must be at least 1"}
+    assert capsys.readouterr().err == "error: carrier size must be at least 1\n"
+
+
 def test_malcev_algebra_modes():
     code, doc = run_json(["malcev", "Z3"])
     assert code == 0 and doc["has_malcev_term"] is True

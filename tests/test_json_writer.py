@@ -2,18 +2,22 @@
 
 ``cli._dumps`` must give the same bytes on every document a command emits,
 its error object included, and on generated documents of the same kinds
-of value.  It raises ``TypeError`` on any other kind.
+of value.  A ``cli.Rows`` must print as the array of objects it stands for.
+It raises ``TypeError`` on any other kind.
 """
 
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ualgebra import cli
+from ualgebra import cli, fixtures
+from ualgebra.translations import principal_translations
 
+from _oracles import frozen_word_semigroup
 from test_cli import run_cli
+from test_translations import _differential_algebras
 
 # Calls per command; the last one ends in an error object (exit 2 or 3).
 CALLS = {
@@ -32,6 +36,18 @@ CALLS = {
     "factorize": (["Z4", "[0,1,0,1]", "--oracle"], ["Z4", "[0,1]"]),
     "fixtures": ([],),
 }
+
+
+def expand(value):
+    """``value`` with every ``cli.Rows`` replaced by its list of dicts, tuples by lists."""
+    if type(value) is cli.Rows:
+        keys = list(value.columns)
+        return [dict(zip(keys, map(expand, row))) for row in zip(*value.columns.values())]
+    if isinstance(value, (list, tuple)):
+        return [expand(x) for x in value]
+    if isinstance(value, dict):
+        return {key: expand(x) for key, x in value.items()}
+    return value
 
 
 def test_every_command_is_covered():
@@ -56,7 +72,7 @@ def test_command_documents_match_json_dumps(command, monkeypatch, capsys):
     assert codes[-1] in (2, 3)
     assert [("error" in doc) for doc in documents] == [code >= 2 for code in codes]
     for doc in documents:
-        assert write(doc) == json.dumps(doc, indent=2, sort_keys=True)
+        assert write(doc) == json.dumps(expand(doc), indent=2, sort_keys=True)
 
 
 # Large ints, control characters and non-ASCII text, and bools inside int lists.
@@ -89,3 +105,78 @@ def test_bools_in_int_lists_print_as_json_literals():
 def test_other_kinds_raise_type_error(value):
     with pytest.raises(TypeError):
         cli._dumps(value)
+
+
+def _rows(n):
+    """``Rows`` of ``n`` rows: str columns and int-tuple columns, empty tuples included."""
+    column = st.lists(st.text(), min_size=n, max_size=n) | st.lists(
+        st.lists(st.integers(min_value=-(10**30), max_value=10**30), max_size=4).map(tuple), min_size=n, max_size=n
+    )
+    return st.dictionaries(st.text(), column, max_size=3).map(cli.Rows)
+
+
+_row_documents = st.recursive(
+    _scalars | st.integers(min_value=0, max_value=4).flatmap(_rows),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_row_documents)
+@example({"members": cli.Rows({"word": ["e", "m@1(1)\u2218i", "\x00\x1f\"\\"], "\U0001d400": [(), (0,), (1, -2)]})})
+@example([cli.Rows({}), cli.Rows({"a": []}), cli.Rows({"\x07": ["\u00e9"]})])
+def test_documents_with_rows_match_json_dumps_of_their_expansion(doc):
+    assert cli._dumps(doc) == json.dumps(expand(doc), indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [
+        {"table": [(0, 1), (1, True)]},
+        {"table": [(False,)]},
+        {"table": [(0, 1), (0.5, 1)]},
+        {"table": [(0, 1), [1, 0]]},
+        {"mixed": ["e", (0,)]},
+        {"word": ["e", None]},
+        {1: ["e"]},
+        {"word": ["e"], ("t",): [(0,)]},
+    ],
+)
+def test_rows_of_other_kinds_raise_type_error(columns):
+    with pytest.raises(TypeError):
+        cli._dumps({"members": cli.Rows(columns)})
+
+
+def test_rows_columns_of_different_lengths_are_refused():
+    with pytest.raises(ValueError):
+        cli._dumps(cli.Rows({"table": [(0,)], "word": []}))
+
+
+def _translations_algebras(tmp_path):
+    """(argument, algebra): the fixtures by name, then seeded random and planted algebras in files."""
+    for name in fixtures.fixture_names():
+        yield name, fixtures.get_fixture(name)
+    for i, X in enumerate(_differential_algebras()):
+        path = tmp_path / f"a{i}.json"
+        path.write_text(json.dumps(X.to_json_dict()))
+        yield str(path), X
+
+
+def test_translations_output_matches_the_member_dicts(tmp_path):
+    for argument, X in _translations_algebras(tmp_path):
+        members = frozen_word_semigroup(X, cap=10**6)
+        s1_size = len(principal_translations(X))
+        doc = {
+            "schema": 1,
+            "command": "translations",
+            "exit_code": 0,
+            "algebra": argument,
+            "s1_size": s1_size,
+            "s_size": len(members),
+            "members": [{"word": t.format_word(), "table": list(t.table)} for t in members],
+        }
+        assert run_cli(["translations", argument, "--json"]) == (0, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        lines = [f"|S1| = {s1_size}", f"|S| = {len(members)}"]
+        lines += [f"{t.format_word()} ⇒ [{','.join(str(v) for v in t.table)}]" for t in members]
+        assert run_cli(["translations", argument]) == (0, "".join(line + "\n" for line in lines))

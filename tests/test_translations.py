@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -198,3 +199,48 @@ def test_tree_cap_matches_the_frozen_word_closure():
             semigroup_tree(X, cap=size - 1)
         assert str(got.value) == str(expected.value)
         assert len(semigroup_tree(X, cap=size).tables) == size
+
+
+# Carriers on both sides of 256, where the closure switches from bytes to tuples.
+BOUNDARY_SIZES = (1, 255, 256, 257)
+
+
+def _unary(k, table):
+    return FiniteAlgebra(Signature([("u", 1)]), k, {"u": tuple(table)})
+
+
+def _boundary_algebras(k):
+    """A unary chain, a unary cycle and the binary first projection on k elements."""
+    yield _unary(k, (min(x + 1, k - 1) for x in range(k)))
+    yield _unary(k, ((x + 1) % k for x in range(k)))
+    yield FiniteAlgebra(Signature([("p", 2)]), k, {"p": tuple(x for x in range(k) for _ in range(k))})
+
+
+@pytest.mark.parametrize("k", BOUNDARY_SIZES)
+def test_tree_matches_the_frozen_word_closure_at_the_byte_boundary(k):
+    for X in _boundary_algebras(k):
+        expected = frozen_word_semigroup(X, cap=10**6)
+        tree = semigroup_tree(X)
+        assert tree.tables == [t.table for t in expected]
+        assert all(type(table) is tuple for table in tree.tables)
+        index = {t.word: i for i, t in enumerate(expected)}
+        letters = {g.word: j for j, g in enumerate(tree.generators)}
+        assert tree.parent == [-1] + [index[t.word[:-1]] for t in expected[1:]]
+        assert tree.letter == [-1] + [letters[t.word[-1:]] for t in expected[1:]]
+        assert tree.format_words() == [t.format_word() for t in expected]
+
+
+@pytest.mark.parametrize("k", BOUNDARY_SIZES[1:])
+def test_cap_message_is_unchanged_at_the_byte_boundary(k, tmp_path, capsys):
+    from ualgebra.cli import main
+
+    X = next(_boundary_algebras(k))  # the chain: k members
+    with pytest.raises(SizeCapError) as expected:
+        frozen_word_semigroup(X, cap=k - 1)
+    with pytest.raises(SizeCapError) as got:
+        semigroup_tree(X, cap=k - 1)
+    assert str(got.value) == str(expected.value) == f"{k} translations found, cap {k - 1} (--max-semigroup)"
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(X.to_json_dict()))
+    assert main(["translations", str(path), "--max-semigroup", str(k - 1)]) == 3
+    assert capsys.readouterr() == ("", f"error: {expected.value}\n")
