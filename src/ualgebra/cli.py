@@ -499,7 +499,8 @@ class Rows(NamedTuple):
     """A JSON array of objects held column-wise: row i is ``{key: columns[key][i]}``.
 
     Every column has one entry per row, and holds only str or only tuples
-    of int.
+    of int.  ``_dumps`` writes it; ``json.dumps`` would take it for a list
+    holding the dict of columns.
     """
 
     columns: dict[str, list]

@@ -16,6 +16,7 @@ from ualgebra import (
     semilattice2,
     translation_semigroup,
 )
+from ualgebra.cli import main
 from ualgebra.errors import SizeCapError
 from ualgebra.translations import semigroup_tree
 
@@ -232,8 +233,6 @@ def test_tree_matches_the_frozen_word_closure_at_the_byte_boundary(k):
 
 @pytest.mark.parametrize("k", BOUNDARY_SIZES[1:])
 def test_cap_message_is_unchanged_at_the_byte_boundary(k, tmp_path, capsys):
-    from ualgebra.cli import main
-
     X = next(_boundary_algebras(k))  # the chain: k members
     with pytest.raises(SizeCapError) as expected:
         frozen_word_semigroup(X, cap=k - 1)
