@@ -7,13 +7,15 @@ here are pure.
 
 This module is the only one that knows the row-major layout.  Operation
 and term tables are built by :meth:`FiniteAlgebra.apply_tables`, applied to
-:func:`projection_tables` or to tables pulled back from them.
+:func:`projection_tables` or to tables pulled back from them.  The one closure
+loop, :func:`_generated`, builds generated subalgebras and the clone, which is
+the subalgebra of X^(X³) that the projections generate.
 """
 
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, NamedTuple, Sequence
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .check import Check
 from .congruences import is_congruence_via_translations
@@ -371,6 +373,32 @@ class Subalgebra(NamedTuple):
     algebra: "FiniteAlgebra | None"  # None only when the subalgebra is empty
 
 
+def _generated(X: FiniteAlgebra, seeds: Sequence[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
+    """Close ``seeds`` (tables of one length) and the constants under the operations
+    of X applied pointwise, breadth-first: each round applies every operation to the
+    argument tuples, in lexicographic order, that use a table of the round before.
+    Tables are yielded when first found, so stopping early stops the closure."""
+    length = len(seeds[0]) if seeds else 1
+    constants = [X.apply_tables(name, ()) * length for name, arity in X.sig if arity == 0]
+    known = list(dict.fromkeys([*seeds, *constants]))
+    yield from known
+    seen = set(known)
+    ops = [(name, arity) for name, arity in X.sig if arity >= 1]
+    start = 0
+    while start < len(known):
+        end = len(known)
+        for name, arity in ops:
+            for combo in itertools.product(range(end), repeat=arity):
+                if max(combo) < start:
+                    continue  # all arguments old: already generated
+                table = X.apply_tables(name, [known[i] for i in combo])
+                if table not in seen:
+                    seen.add(table)
+                    known.append(table)
+                    yield table
+        start = end
+
+
 def subalgebra_generated(X: FiniteAlgebra, seed: Iterable[int]) -> Subalgebra:
     """Least subset containing ``seed`` and all constants, closed under every operation.
 
@@ -378,22 +406,16 @@ def subalgebra_generated(X: FiniteAlgebra, seed: Iterable[int]) -> Subalgebra:
     order; ``members`` is the renumbering (new index -> original element).
     Empty only when the seed is empty and the signature has no constants.
     """
-    current = set()
+    seeds = []
     for x in seed:
         if not 0 <= x < X.size:
             raise OutOfCarrierError(f"seed element {x} outside carrier of size {X.size}")
-        current.add(x)
-    while True:
-        members = tuple(sorted(current))
-        images = _images(X, members)
-        found = set().union(*images.values())
-        if found <= current:
-            break
-        current |= found
+        seeds.append((x,))
+    members = tuple(sorted(table[0] for table in _generated(X, seeds)))
     if not members:
         return Subalgebra((), None)
     position = {x: i for i, x in enumerate(members)}
-    tables = {name: tuple(map(position.__getitem__, t)) for name, t in images.items()}
+    tables = {name: tuple(map(position.__getitem__, t)) for name, t in _images(X, members).items()}
     return Subalgebra(members, _algebra(X.sig, len(members), tables))
 
 
@@ -435,6 +457,11 @@ def quotient(X: FiniteAlgebra, part: Partition) -> tuple[FiniteAlgebra, CarrierM
     verdict = is_congruence_via_translations(X, part)  # raises SizeMismatchError on a wrong size
     if not verdict:
         raise NotACongruenceError(verdict.witness)
+    return _quotient(X, part)
+
+
+def _quotient(X: FiniteAlgebra, part: Partition) -> tuple[FiniteAlgebra, CarrierMap]:
+    """:func:`quotient` without the congruence test, for a π already known to be a congruence of X."""
     reps = [block[0] for block in part.blocks()]
     block_of = part.block_of
     tables = {name: tuple(map(block_of.__getitem__, t)) for name, t in _images(X, reps).items()}

@@ -50,9 +50,8 @@ def _algebra(name: str) -> FiniteAlgebra:
     fixture = fixtures.get_fixture(name)
     if fixture is not None:
         return fixture
-    path = Path(name)
-    if path.is_file():
-        return FiniteAlgebra.from_json_dict(_loads(path.read_text(), f"algebra file '{name}'"))
+    if Path(name).is_file():
+        return FiniteAlgebra.from_json_dict(_json(_read_file(name), f"algebra file '{name}'", FormatError))
     raise UAlgError(f"unknown algebra '{name}' (not a fixture name or readable file)")
 
 
@@ -68,22 +67,30 @@ def _loads(text: str, what: str):
         raise FormatError(f"bad {what}: an integer has more digits than Python's integer-string limit") from None
 
 
+def _json(text: str, what: str, error: type[UAlgError] = UAlgError):
+    """The JSON value of ``text``: ``_loads``, with malformed JSON raised as ``error``."""
+    try:
+        return _loads(text, what)
+    except json.JSONDecodeError as exc:
+        raise error(f"bad {what}: {exc}") from None
+
+
+def _read_file(path: str) -> str:
+    """The text of the file at ``path``, read as UTF-8; other bytes are a FormatError naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"file '{path}' is not UTF-8: {exc.reason} at byte {exc.start}") from None
+
+
 def _read_arg(text: str) -> str:
     if text.startswith("@"):
-        return Path(text[1:]).read_text().strip()
+        return _read_file(text[1:]).strip()
     return text
 
 
-def _json_arg(text: str, what: str):
-    """The JSON value of an inline or ``@path`` argument; malformed JSON is a UAlgError."""
-    try:
-        return _loads(_read_arg(text), what)
-    except json.JSONDecodeError as exc:
-        raise UAlgError(f"bad {what}: {exc}") from None
-
-
 def _parse_int_list(text: str, what: str) -> list[int]:
-    data = _json_arg(text, what)
+    data = _json(_read_arg(text), what)
     if not isinstance(data, list) or not all(type(x) is int for x in data):
         raise UAlgError(f"bad {what}: expected a JSON array of integers")
     return data
@@ -287,7 +294,7 @@ def cmd_congruences(args) -> tuple[int, dict, list[str]]:
 
 def cmd_gen_congruence(args) -> tuple[int, dict, list[str]]:
     X = _algebra(args.algebra)
-    data = _json_arg(args.pairs, "pairs")
+    data = _json(_read_arg(args.pairs), "pairs")
     if not isinstance(data, list) or not all(
         isinstance(p, list) and len(p) == 2 and all(type(x) is int for x in p) for p in data
     ):

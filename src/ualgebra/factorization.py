@@ -10,7 +10,7 @@ quotient by the largest congruence refining ker f.
 
 from dataclasses import dataclass
 
-from .algebra import CarrierMap, FiniteAlgebra, is_homomorphism, kernel, quotient
+from .algebra import CarrierMap, FiniteAlgebra, _quotient, is_homomorphism, kernel
 from .check import Check
 from .congruences import PARTITION_ENUM_CAP, all_congruences, largest_congruence_below
 from .errors import MismatchedBaseError, SizeMismatchError
@@ -89,8 +89,8 @@ def greatest_factorization(X: FiniteAlgebra, f: CarrierMap) -> Factorization:
 
 def _factor_through(X: FiniteAlgebra, f: CarrierMap, theta: Partition) -> Factorization:
     """(g, Y, h) with g the quotient map by ``theta`` and h sending each block
-    to f of its least member; ``theta`` must be a congruence refining ker f."""
-    Y, g = quotient(X, theta)
+    to f of its least member; ``theta``, a congruence refining ker f, is not tested again."""
+    Y, g = _quotient(X, theta)
     h = CarrierMap(Y.size, f.target_size, tuple(f(block[0]) for block in theta.blocks()))
     return Factorization(g, Y, h, f.target_size)
 

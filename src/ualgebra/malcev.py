@@ -3,30 +3,39 @@ clone of ternary term operations.
 
 A ternary operation μ is Mal'cev when μ(y,y,x) = μ(x,y,y) = x for all x, y.
 Groups always carry one: μ(x,y,z) = x·y⁻¹·z.  More generally an algebra has
-a Mal'cev *term* when the closure of the three ternary projections under
-its operations contains a Mal'cev table.
+a Mal'cev *term* when its clone of ternary term operations, the subalgebra
+of X^(X³) that the three projections generate, contains a Mal'cev table.
+Only ``algebra`` knows the table layout: the cells the identities fix are
+read off its projection tables.
 """
 
-import itertools
-from typing import Callable, NamedTuple
+from itertools import compress, islice, product
+from operator import eq
+from typing import Iterator, NamedTuple
 
 from .check import Check
 from .errors import ArityMismatchError, NotAGroupError, SizeCapError, UAlgError
 from .fixtures import group_axioms
-from .algebra import TABLE_CAP, FiniteAlgebra, _check_length, in_equational_class, projection_tables
+from .algebra import TABLE_CAP, FiniteAlgebra, _check_length, _generated, in_equational_class, projection_tables
 from .terms import parse_term, term_table
 
 CLONE_CAP = 100_000  # ternary functions
 
 
+def _malcev_cells(k: int) -> list[tuple[tuple[int, int], int, int]]:
+    """The cells ``((x, y), position, x)`` of a ternary table on k elements where
+    μ(y,y,x) = x or μ(x,y,y) = x fixes the entry: the positions where the
+    first two, or the last two, projection tables agree.
+    """
+    xs, ys, zs = projection_tables((k,) * 3)
+    positions = range(len(xs))
+    cells = [((zs[i], ys[i]), i, zs[i]) for i in compress(positions, map(eq, xs, ys))]
+    return cells + [((xs[i], ys[i]), i, xs[i]) for i in compress(positions, map(eq, ys, zs))]
+
+
 def table_is_malcev(table, k: int) -> bool:
     """Check the two defining identities on a flat k^3 table in (x,y,z) order."""
-    k2 = k * k
-    for x in range(k):
-        for y in range(k):
-            if table[y * k2 + y * k + x] != x or table[x * k2 + y * k + y] != x:
-                return False
-    return True
+    return all(table[i] == value for _, i, value in _malcev_cells(k))
 
 
 def is_malcev_op(X: FiniteAlgebra, symbol: str) -> Check:
@@ -34,11 +43,9 @@ def is_malcev_op(X: FiniteAlgebra, symbol: str) -> Check:
     arity = X.sig.arity(symbol)
     if arity != 3:
         raise ArityMismatchError(symbol, 3, arity)
-    for x in range(X.size):
-        for y in range(X.size):
-            if X.apply(symbol, (y, y, x)) != x or X.apply(symbol, (x, y, y)) != x:
-                return Check(False, (x, y))
-    return Check(True)
+    table = X.table(symbol)
+    failing = [pair for pair, i, value in _malcev_cells(X.size) if table[i] != value]
+    return Check(not failing, min(failing, default=None))
 
 
 class MalcevEnumeration(NamedTuple):
@@ -57,31 +64,23 @@ def find_malcev_operations(k: int, cap: int | None = None) -> MalcevEnumeration:
         raise UAlgError("carrier size must be at least 1")
     k3 = k**3
     _check_length(k3)
-    # count = k ** (free cells), multiplied out only until it passes the
-    # number of tables that could be listed
+    # k ** (free cells), exact up to ``stop`` and past it whenever k >= 2
     stop = TABLE_CAP if cap is None else cap
-    count = 1
-    for _ in range(k * (k - 1) ** 2):
-        count *= k
-        if count > stop:
-            break
+    count = k ** min(k * (k - 1) ** 2, stop.bit_length())
     listed = count if cap is None else min(count, cap)
     if listed * k3 > TABLE_CAP:
         raise SizeCapError(
             f"listing {listed} Mal'cev tables of {k3} entries each exceeds the limit of"
             f" {TABLE_CAP} entries; lower --max-clone"
         )
-    k2 = k * k
     base: list[int | None] = [None] * k3
-    for x in range(k):
-        for y in range(k):
-            base[y * k2 + y * k + x] = x
-            base[x * k2 + y * k + y] = x
-    free = [i for i, v in enumerate(base) if v is None]
+    for _, i, value in _malcev_cells(k):
+        base[i] = value
+    free_cells = [i for i, v in enumerate(base) if v is None]
     tables: list[tuple[int, ...]] = []
-    for values in itertools.islice(itertools.product(range(k), repeat=len(free)), listed):
+    for values in islice(product(range(k), repeat=len(free_cells)), listed):
         table = base[:]
-        for i, v in zip(free, values):
+        for i, v in zip(free_cells, values):
             table[i] = v
         tables.append(tuple(table))
     return MalcevEnumeration(tables, count <= stop)
@@ -102,60 +101,24 @@ def group_malcev(G: FiniteAlgebra) -> tuple[int, ...]:
 # clone of ternary term operations
 
 
-def _clone_closure(
-    X: FiniteAlgebra, cap: int, stop: Callable[[tuple[int, ...]], bool] | None = None
-) -> tuple[list[tuple[int, ...]], tuple[int, ...] | None]:
-    """Close the three projections (and constants) under the operations of X.
-
-    Functions X^3 -> X are their flat length-k^3 tables.  Breadth-first, so
-    output order is deterministic.  If ``stop`` accepts a table, closure
-    halts early and that table is returned as the witness.
-    """
-    k3 = X.size**3
-    seeds = projection_tables((X.size,) * 3)
-    seeds += [X.apply_tables(name, ()) * k3 for name, arity in X.sig if arity == 0]
-    known = list(dict.fromkeys(seeds))
-    seen = set(known)
-    for table in known:
-        if stop is not None and stop(table):
-            return known, table
-    ops = [(name, arity) for name, arity in X.sig if arity >= 1]
-    start = 0
-    while start < len(known):
-        end = len(known)
-        for name, arity in ops:
-            for combo in itertools.product(range(end), repeat=arity):
-                if max(combo) < start:
-                    continue  # all arguments old: already generated
-                table = X.apply_tables(name, [known[i] for i in combo])
-                if table in seen:
-                    continue
-                if len(seen) >= cap:
-                    raise SizeCapError(
-                        f"{len(seen) + 1} ternary term operations found, cap {cap} (--max-clone)"
-                    )
-                seen.add(table)
-                known.append(table)
-                if stop is not None and stop(table):
-                    return known, table
-        start = end
-    return known, None
+def _clone_closure(X: FiniteAlgebra, cap: int) -> Iterator[tuple[int, ...]]:
+    """The ternary term operations of X as flat k^3 tables: the subalgebra of
+    X^(X³) that the three projections generate.  Every table counts toward
+    ``cap``, projections and constants included."""
+    for count, table in enumerate(_generated(X, projection_tables((X.size,) * 3)), 1):
+        if count > cap:
+            raise SizeCapError(f"{count} ternary term operations found, cap {cap} (--max-clone)")
+        yield table
 
 
 def clone_ternary_terms(X: FiniteAlgebra, cap: int = CLONE_CAP) -> list[tuple[int, ...]]:
     """All functions X^3 -> X induced by ternary terms, in discovery order."""
-    known, _ = _clone_closure(X, cap)
-    return known
+    return list(_clone_closure(X, cap))
 
 
 def has_malcev_term(X: FiniteAlgebra, cap: int = CLONE_CAP) -> Check:
-    """Whether some ternary term operation of X is Mal'cev.
-
-    Witness on success is the found table; the closure stops as soon as a
-    Mal'cev member appears.
-    """
-    k = X.size
-    known, witness = _clone_closure(X, cap, stop=lambda t: table_is_malcev(t, k))
-    if witness is None:
-        return Check(False)
-    return Check(True, witness)
+    """Whether some ternary term operation of X is Mal'cev; the witness is the
+    first such table in discovery order, where the closure stops."""
+    cells = _malcev_cells(X.size)  # table_is_malcev, with the cells found once
+    witness = next((t for t in _clone_closure(X, cap) if all(t[i] == x for _, i, x in cells)), None)
+    return Check(witness is not None, witness)

@@ -2,8 +2,8 @@
 
 Everything here recomputes results from first principles with naive loops,
 deliberately sharing no algorithmic route with the library: set partitions
-are enumerated recursively (not as restricted-growth strings), semigroup
-and clone closures run as repeated full passes over raw tables, the
+are enumerated recursively (not as restricted-growth strings), semigroup,
+clone and subalgebra closures run as repeated full passes over raw tables, the
 largest-congruence oracle filters the whole congruence lattice, and terms
 are evaluated one assignment at a time by recursion.  Two are exceptions,
 routes the library used before, kept as the references it must reproduce
@@ -170,6 +170,32 @@ def naive_clone_tables(X):
         tables |= new
 
 
+def naive_subalgebra(X, seed):
+    """Members and induced flat tables of the subalgebra generated by ``seed``.
+
+    A fixpoint: every symbol is applied with ``X.apply`` to all tuples of the
+    current members until no new element appears.  Tables are renumbered by
+    ascending member order, each tuple of new indices in lexicographic order.
+    """
+    members = set(seed)
+    while True:
+        found = {
+            X.apply(name, args)
+            for name, arity in X.sig
+            for args in itertools.product(sorted(members), repeat=arity)
+        }
+        if found <= members:
+            break
+        members |= found
+    members = sorted(members)
+    position = {x: i for i, x in enumerate(members)}
+    tables = {
+        name: [position[X.apply(name, args)] for args in itertools.product(members, repeat=arity)]
+        for name, arity in X.sig
+    }
+    return members, tables
+
+
 def naive_evaluate(t, X, assignment):
     """Value of term ``t`` under one assignment, by recursion over ``X.apply``."""
     if isinstance(t, Variable):
@@ -217,13 +243,15 @@ def naive_product_table(factors, name, arity):
 
 
 def naive_is_malcev_table(table, k):
+    """Whether a flat k^3 table in (x,y,z) order is Mal'cev, as a Check whose
+    witness on failure is the least (x, y) breaking μ(y,y,x) = x or μ(x,y,y) = x."""
     for x in range(k):
         for y in range(k):
             if table[(y * k + y) * k + x] != x:
-                return False
+                return Check(False, (x, y))
             if table[(x * k + y) * k + y] != x:
-                return False
-    return True
+                return Check(False, (x, y))
+    return Check(True)
 
 
 def brute_malcev_tables(k):

@@ -213,6 +213,42 @@ def test_cap_flag_exit_3(capsys):
     assert capsys.readouterr().err == "error: 6 ternary term operations found, cap 5 (--max-clone)\n"
 
 
+def test_undecodable_files_are_format_errors_naming_the_file(tmp_path):
+    truncated, latin = tmp_path / "truncated.json", tmp_path / "latin.json"
+    truncated.write_text('{"size": ')
+    latin.write_bytes(b"\xff\xfe{}")
+    code, doc = run_json(["translations", str(truncated)])
+    assert code == 2 and doc["error"] == {
+        "type": "FormatError",
+        "message": f"bad algebra file '{truncated}': Expecting value: line 1 column 10 (char 9)",
+    }
+    not_utf8 = {"type": "FormatError", "message": f"file '{latin}' is not UTF-8: invalid start byte at byte 0"}
+    for argv in (["translations", str(latin)], ["factorize", "Z4", f"@{latin}"], ["eval", "Z4", f"@{latin}", "v1=0"]):
+        code, doc = run_json(argv)
+        assert code == 2 and doc["error"] == not_utf8, argv
+    # inline arguments, and JSON syntax errors in @path arguments, keep their type and message
+    map_file = tmp_path / "map.json"
+    map_file.write_text("[0,")
+    for text in ("[0,", f"@{map_file}"):
+        code, doc = run_json(["factorize", "Z4", text])
+        assert code == 2 and doc["error"] == {
+            "type": "UAlgError", "message": "bad map: Expecting value: line 1 column 4 (char 3)"
+        }
+
+
+def test_clone_cap_counts_the_projections(tmp_path, capsys):
+    identity = tmp_path / "identity.json"
+    identity.write_text(json.dumps(
+        {"signature": [{"symbol": "u", "arity": 1}], "size": 2, "ops": {"u": [0, 1]}}
+    ))
+    assert main(["clone", str(identity), "--max-clone", "0"]) == 3
+    assert capsys.readouterr().err == "error: 1 ternary term operations found, cap 0 (--max-clone)\n"
+    assert main(["clone", str(identity), "--max-clone", "3"]) == 0
+    capsys.readouterr()
+    assert main(["clone", "SL2", "--max-clone", "1"]) == 3
+    assert capsys.readouterr().err == "error: 2 ternary term operations found, cap 1 (--max-clone)\n"
+
+
 def test_human_output_readable():
     code, out = run_cli(["check-identity", "Z3", "m(v1,v2)", "m(v2,v1)"])
     assert code == 0 and out.startswith("PASS")

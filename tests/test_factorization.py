@@ -189,3 +189,22 @@ def test_preorder_reflexive_transitive():
             for k in range(len(fs)):
                 if rel[i][j] and rel[j][k]:
                     assert rel[i][k]
+
+
+def test_factorizations_do_not_test_their_congruences_again(monkeypatch):
+    from ualgebra import congruences
+
+    calls = []
+    original = congruences.principal_translations
+    monkeypatch.setattr(congruences, "principal_translations", lambda X: calls.append(X) or original(X))
+    for X in FIXTURES:
+        f = CarrierMap(X.size, 2, tuple(x % 2 for x in range(X.size)))
+        calls.clear()
+        least_factorization(X, f)
+        assert len(calls) == 1, X  # largest_congruence_below; the quotient is not retested
+        calls.clear()
+        enumerate_factorizations(X, f)
+        enumerated = len(calls)
+        calls.clear()
+        congruences.all_congruences(X)
+        assert enumerated == len(calls), X
