@@ -20,6 +20,7 @@ from ualgebra import (
     semilattice2,
     translation_semigroup,
 )
+from ualgebra import congruences
 from ualgebra.errors import MismatchedBaseError
 
 from _oracles import all_maps, naive_largest_congruence_below
@@ -192,8 +193,6 @@ def test_preorder_reflexive_transitive():
 
 
 def test_factorizations_do_not_test_their_congruences_again(monkeypatch):
-    from ualgebra import congruences
-
     calls = []
     original = congruences.principal_translations
     monkeypatch.setattr(congruences, "principal_translations", lambda X: calls.append(X) or original(X))
