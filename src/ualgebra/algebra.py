@@ -76,45 +76,43 @@ def _first_difference(left: Iterable[int], right: Iterable[int]) -> int | None:
 
 
 def _flatten(table: Any, arity: int, size: int, symbol: str) -> tuple[int, ...]:
-    """Normalize a nested table (depth = arity) to a flat row-major tuple.
+    """Check a table given from outside the library; return it flat, in row-major order.
 
-    A constant's integer becomes a one-entry table.
+    An n-ary table is nested to depth n with every row of length ``size``, or
+    flat with size**n entries; a constant is a bare integer, returned as a
+    one-entry table.  Entries must be ints (not bools) in ``range(size)``.
+    Rows are checked one nesting level at a time, so of several faults the
+    error names the first found scanning level by level.
     """
     if arity == 0:
         if type(table) is not int:
             raise FormatError(f"table for constant '{symbol}' must be an integer")
-        return (table,)
-    if not isinstance(table, (list, tuple)):
+        flat: Sequence[Any] = (table,)
+    elif not isinstance(table, (list, tuple)):
         raise FormatError(f"table for '{symbol}' must be a (nested) sequence")
-    flat: list[int] = []
-
-    def walk(node, depth):
-        if depth == 0:
-            if type(node) is not int:
-                raise FormatError(f"table for '{symbol}' has a non-integer entry: {node!r}")
-            flat.append(node)
-            return
-        if isinstance(node, (list, tuple)):
-            if len(node) != size:
-                raise FormatError(
-                    f"table for '{symbol}' has a row of length {len(node)}, expected {size}"
-                )
-            for child in node:
-                walk(child, depth - 1)
-        else:
-            raise FormatError(f"table for '{symbol}' is not nested to depth {arity}")
-
-    if all(type(x) is int for x in table):  # already flat
+    elif all(type(x) is int for x in table):  # already flat
         if len(table) != size**arity:
             raise FormatError(
                 f"flat table for '{symbol}' has {len(table)} entries, expected {size**arity}"
             )
-        return tuple(table)
-    walk(table, arity)
-    if len(flat) != size**arity:
-        raise FormatError(
-            f"table for '{symbol}' has {len(flat)} entries, expected {size**arity}"
-        )
+        flat = table
+    else:
+        flat = [table]
+        for _ in range(arity):
+            for row in flat:
+                if not isinstance(row, (list, tuple)):
+                    raise FormatError(f"table for '{symbol}' is not nested to depth {arity}")
+                if len(row) != size:
+                    raise FormatError(
+                        f"table for '{symbol}' has a row of length {len(row)}, expected {size}"
+                    )
+            flat = list(itertools.chain.from_iterable(flat))
+        if set(map(type, flat)) != {int}:
+            node = next(x for x in flat if type(x) is not int)
+            raise FormatError(f"table for '{symbol}' has a non-integer entry: {node!r}")
+    if min(flat) < 0 or max(flat) >= size:
+        entry = next(x for x in flat if not 0 <= x < size)
+        raise OutOfCarrierError(f"table for '{symbol}' has entry {entry}, carrier size {size}")
     return tuple(flat)
 
 
@@ -137,13 +135,7 @@ class FiniteAlgebra:
             if arity > ARITY_CAP:  # checked first, so that size**arity stays small
                 raise SizeCapError(f"arity {arity} of '{name}' exceeds the fixed limit of {ARITY_CAP}")
             _check_length(size**arity)
-            table = _flatten(ops[name], arity, size, name)
-            for entry in table:
-                if not 0 <= entry < size:
-                    raise OutOfCarrierError(
-                        f"table for '{name}' has entry {entry}, carrier size {size}"
-                    )
-            tables[name] = table
+            tables[name] = _flatten(ops[name], arity, size, name)
         extra = set(ops) - set(tables)
         if extra:
             raise UnknownSymbolError(f"tables for symbols not in signature: {sorted(extra)}")
@@ -254,9 +246,14 @@ def _images(X: FiniteAlgebra, elements: Sequence[int]) -> dict[str, tuple[int, .
 
 
 def _algebra(sig: Signature, size: int, tables: Mapping[str, Sequence[int]]) -> FiniteAlgebra:
-    """The algebra with the given row-major tables, constants as one-entry tables."""
-    ops = {name: tables[name][0] if arity == 0 else tables[name] for name, arity in sig}
-    return FiniteAlgebra(sig, size, ops)
+    """The algebra with the given row-major tables, constants as one-entry tables.
+
+    For tables the library built from an algebra it holds: they are taken as
+    they are, not flattened or range-checked again.
+    """
+    X = FiniteAlgebra.__new__(FiniteAlgebra)
+    X.sig, X.size, X._tables = sig, size, {name: tuple(tables[name]) for name, _ in sig}
+    return X
 
 
 @dataclass(frozen=True)
@@ -317,11 +314,10 @@ def is_homomorphism(phi: CarrierMap, X: FiniteAlgebra, Y: FiniteAlgebra) -> Chec
         raise SignatureMismatchError("algebras have different signatures")
     if phi.source_size != X.size or phi.target_size != Y.size:
         raise SizeMismatchError("map does not fit between the carriers")
-    source = _images(X, range(X.size))
     target = _images(Y, phi.values)
     best = None
     for idx, (name, arity) in enumerate(X.sig):
-        j = _first_difference(map(phi.values.__getitem__, source[name]), target[name])
+        j = _first_difference(map(phi.values.__getitem__, X._tables[name]), target[name])
         if j is not None:
             args = tuple(p[j] for p in projection_tables((X.size,) * arity))
             if best is None or (args, idx) < best[:2]:

@@ -9,6 +9,7 @@ Only ``algebra`` knows the table layout: the cells the identities fix are
 read off its projection tables.
 """
 
+from functools import lru_cache
 from itertools import compress, islice, product
 from operator import eq
 from typing import Iterator, NamedTuple
@@ -22,15 +23,17 @@ from .terms import parse_term, term_table
 CLONE_CAP = 100_000  # ternary functions
 
 
-def _malcev_cells(k: int) -> list[tuple[tuple[int, int], int, int]]:
+@lru_cache(maxsize=8)
+def _malcev_cells(k: int) -> tuple[tuple[tuple[int, int], int, int], ...]:
     """The cells ``((x, y), position, x)`` of a ternary table on k elements where
     μ(y,y,x) = x or μ(x,y,y) = x fixes the entry: the positions where the
-    first two, or the last two, projection tables agree.
+    first two, or the last two, projection tables agree.  Cached: the tuple
+    is immutable, and k stays small, since projection_tables refuses k³ > TABLE_CAP.
     """
     xs, ys, zs = projection_tables((k,) * 3)
     positions = range(len(xs))
     cells = [((zs[i], ys[i]), i, zs[i]) for i in compress(positions, map(eq, xs, ys))]
-    return cells + [((xs[i], ys[i]), i, xs[i]) for i in compress(positions, map(eq, ys, zs))]
+    return (*cells, *(((xs[i], ys[i]), i, xs[i]) for i in compress(positions, map(eq, ys, zs))))
 
 
 def table_is_malcev(table, k: int) -> bool:
@@ -119,6 +122,5 @@ def clone_ternary_terms(X: FiniteAlgebra, cap: int = CLONE_CAP) -> list[tuple[in
 def has_malcev_term(X: FiniteAlgebra, cap: int = CLONE_CAP) -> Check:
     """Whether some ternary term operation of X is Mal'cev; the witness is the
     first such table in discovery order, where the closure stops."""
-    cells = _malcev_cells(X.size)  # table_is_malcev, with the cells found once
-    witness = next((t for t in _clone_closure(X, cap) if all(t[i] == x for _, i, x in cells)), None)
+    witness = next((t for t in _clone_closure(X, cap) if table_is_malcev(t, X.size)), None)
     return Check(witness is not None, witness)

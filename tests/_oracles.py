@@ -5,22 +5,23 @@ deliberately sharing no algorithmic route with the library: set partitions
 are enumerated recursively (not as restricted-growth strings), semigroup,
 clone and subalgebra closures run as repeated full passes over raw tables, the
 largest-congruence oracle filters the whole congruence lattice, and terms
-are evaluated one assignment at a time by recursion.  Two are exceptions,
+are evaluated one assignment at a time by recursion.  Three are exceptions,
 routes the library used before, kept as the references it must reproduce
 exactly: ``frozen_word_semigroup``, the closure loop that the translation
-semigroup used before it kept its members as a tree, and
+semigroup used before it kept its members as a tree;
 ``naive_translation_witness``, the same-block pair scan that the
 translation congruence test used before it compared each element with its
-block's least member.
+block's least member; and ``frozen_flatten``, the depth-first table check
+that algebra construction used before it checked one nesting level at a time.
 """
 
 import itertools
 import random
 from operator import itemgetter
 
-from ualgebra import Constant, FiniteAlgebra, Translation, Variable, principal_translations
+from ualgebra import Constant, FiniteAlgebra, Signature, Translation, Variable, principal_translations
 from ualgebra.check import Check
-from ualgebra.errors import SizeCapError
+from ualgebra.errors import FormatError, OutOfCarrierError, SizeCapError
 
 
 def naive_partitions(n):
@@ -328,6 +329,13 @@ def random_term_text(sig, rng, depth):
     return f"{pick}({args})"
 
 
+SIGNATURES = (
+    Signature([("f", 2)]),
+    Signature([("f", 2), ("u", 1), ("c", 0)]),
+    Signature([("u", 1), ("w", 1), ("c", 0)]),
+)
+
+
 def planted_algebra(rng, k, blocks, sig):
     """A random algebra over ``sig`` with a congruence of ``blocks`` blocks
     built in: each operation is drawn on the blocks, and each of its values
@@ -345,3 +353,49 @@ def planted_algebra(rng, k, blocks, sig):
         )
         ops[name] = lifted if arity else lifted[0]
     return FiniteAlgebra(sig, k, ops), labels
+
+
+def frozen_flatten(table, arity, size, symbol):
+    """A table checked and flattened to a row-major tuple, the way
+    ``FiniteAlgebra`` did before it checked one nesting level at a time: a
+    depth-first walk with one call per entry, then the range of each entry."""
+    if arity == 0:
+        if type(table) is not int:
+            raise FormatError(f"table for constant '{symbol}' must be an integer")
+        flat = [table]
+    elif not isinstance(table, (list, tuple)):
+        raise FormatError(f"table for '{symbol}' must be a (nested) sequence")
+    elif all(type(x) is int for x in table):  # already flat
+        if len(table) != size**arity:
+            raise FormatError(
+                f"flat table for '{symbol}' has {len(table)} entries, expected {size**arity}"
+            )
+        flat = list(table)
+    else:
+        flat = []
+
+        def walk(node, depth):
+            if depth == 0:
+                if type(node) is not int:
+                    raise FormatError(f"table for '{symbol}' has a non-integer entry: {node!r}")
+                flat.append(node)
+                return
+            if isinstance(node, (list, tuple)):
+                if len(node) != size:
+                    raise FormatError(
+                        f"table for '{symbol}' has a row of length {len(node)}, expected {size}"
+                    )
+                for child in node:
+                    walk(child, depth - 1)
+            else:
+                raise FormatError(f"table for '{symbol}' is not nested to depth {arity}")
+
+        walk(table, arity)
+        if len(flat) != size**arity:
+            raise FormatError(
+                f"table for '{symbol}' has {len(flat)} entries, expected {size**arity}"
+            )
+    for entry in flat:
+        if not 0 <= entry < size:
+            raise OutOfCarrierError(f"table for '{symbol}' has entry {entry}, carrier size {size}")
+    return tuple(flat)

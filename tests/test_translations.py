@@ -21,6 +21,7 @@ from ualgebra.errors import SizeCapError
 from ualgebra.translations import semigroup_tree
 
 from _oracles import (
+    SIGNATURES,
     frozen_word_semigroup,
     naive_principal_tables,
     naive_semigroup_tables,
@@ -161,13 +162,6 @@ def test_word_format():
     assert plus1.format_word() == "m@1(1)"
     neg = next(t for t in semigroup if t.table == (0, 2, 1))
     assert neg.format_word() == "i"
-
-
-SIGNATURES = (
-    Signature([("f", 2)]),
-    Signature([("f", 2), ("u", 1), ("c", 0)]),
-    Signature([("u", 1), ("w", 1), ("c", 0)]),
-)
 
 
 def _differential_algebras():
