@@ -373,13 +373,22 @@ def _generated(X: FiniteAlgebra, seeds: Sequence[tuple[int, ...]]) -> Iterator[t
     """Close ``seeds`` (tables of one length) and the constants under the operations
     of X applied pointwise, breadth-first: each round applies every operation to the
     argument tuples, in lexicographic order, that use a table of the round before.
-    Tables are yielded when first found, so stopping early stops the closure."""
+    Tables are yielded when first found, so stopping early stops the closure.
+
+    When every operation of arity n >= 1 has k^n <= 256 entries, the closure
+    runs in ``bytes`` (:func:`_byte_rounds`): one big-integer sum, one
+    ``to_bytes`` and one ``bytes.translate`` per application.  Otherwise each
+    application is one :meth:`FiniteAlgebra.apply_tables`.  Both routes find
+    the same tables in the same order."""
     length = len(seeds[0]) if seeds else 1
     constants = [X.apply_tables(name, ()) * length for name, arity in X.sig if arity == 0]
     known = list(dict.fromkeys([*seeds, *constants]))
     yield from known
-    seen = set(known)
     ops = [(name, arity) for name, arity in X.sig if arity >= 1]
+    if X.size ** max((arity for _, arity in ops), default=1) <= 256:
+        yield from map(tuple, _byte_rounds(X, ops, [bytes(t) for t in known], length))
+        return
+    seen = set(known)
     start = 0
     while start < len(known):
         end = len(known)
@@ -391,6 +400,53 @@ def _generated(X: FiniteAlgebra, seeds: Sequence[tuple[int, ...]]) -> Iterator[t
                 if table not in seen:
                     seen.add(table)
                     known.append(table)
+                    yield table
+        start = end
+
+
+def _index_sums(
+    weighted: Sequence[Sequence[int]], arity: int, start: int, end: int, base: int = 0, fresh: bool = False
+) -> Iterator[int]:
+    """``base + Σ weighted[arity-1-i][c_i]`` for each argument tuple c over
+    ``range(end)`` with some c_i >= start (every c, once ``fresh``), in
+    lexicographic order."""
+    column = weighted[arity - 1]
+    if arity == 1:
+        yield from map(base.__add__, column[0 if fresh else start : end])
+        return
+    for c in range(end):
+        yield from _index_sums(weighted, arity - 1, start, end, base + column[c], fresh or c >= start)
+
+
+def _byte_rounds(
+    X: FiniteAlgebra, ops: Sequence[tuple[str, int]], known: list[bytes], length: int
+) -> Iterator[bytes]:
+    """The rounds of :func:`_generated` over byte tables, for k^n <= 256; yields each new table.
+
+    Each known table t is also held as ``int.from_bytes(t, "big")`` times each
+    power of k below the largest arity.  For f of arity n the sum
+    Σ int(t_i)·k^(n-i) has as base-256 digit j the row-major index of
+    (t_1[j], ..., t_n[j]), which is below k^n <= 256, so no digit carries.
+    Its bytes translated through f's table, padded to 256 bytes, are
+    f(t_1, ..., t_n).
+    """
+    k = X.size
+    weights = [k**p for p in range(max(arity for _, arity in ops))] if ops else []
+    weighted = [[int.from_bytes(t, "big") * w for t in known] for w in weights]
+    maps = [(bytes(X._tables[name]).ljust(256, b"\0"), arity) for name, arity in ops]
+    seen = set(known)
+    start = 0
+    while start < len(known):
+        end = len(known)
+        for table_map, arity in maps:
+            for index in _index_sums(weighted, arity, start, end):
+                table = index.to_bytes(length, "big").translate(table_map)
+                if table not in seen:
+                    seen.add(table)
+                    known.append(table)
+                    value = int.from_bytes(table, "big")
+                    for column, w in zip(weighted, weights):
+                        column.append(value * w)
                     yield table
         start = end
 

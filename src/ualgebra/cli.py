@@ -89,8 +89,15 @@ def _read_arg(text: str) -> str:
     return text
 
 
+def _json_arg(text: str, what: str):
+    """The JSON value of an inline or ``@path`` argument; malformed JSON in a file names the file."""
+    if text.startswith("@"):
+        what = f"{what} file '{text[1:]}'"
+    return _json(_read_arg(text), what)
+
+
 def _parse_int_list(text: str, what: str) -> list[int]:
-    data = _json(_read_arg(text), what)
+    data = _json_arg(text, what)
     if not isinstance(data, list) or not all(type(x) is int for x in data):
         raise UAlgError(f"bad {what}: expected a JSON array of integers")
     return data
@@ -294,7 +301,7 @@ def cmd_congruences(args) -> tuple[int, dict, list[str]]:
 
 def cmd_gen_congruence(args) -> tuple[int, dict, list[str]]:
     X = _algebra(args.algebra)
-    data = _json(_read_arg(args.pairs), "pairs")
+    data = _json_arg(args.pairs, "pairs")
     if not isinstance(data, list) or not all(
         isinstance(p, list) and len(p) == 2 and all(type(x) is int for x in p) for p in data
     ):

@@ -226,13 +226,13 @@ def test_undecodable_files_are_format_errors_naming_the_file(tmp_path):
     for argv in (["translations", str(latin)], ["factorize", "Z4", f"@{latin}"], ["eval", "Z4", f"@{latin}", "v1=0"]):
         code, doc = run_json(argv)
         assert code == 2 and doc["error"] == not_utf8, argv
-    # inline arguments, and JSON syntax errors in @path arguments, keep their type and message
+    # JSON syntax errors keep their type; in an @path argument the message names the file
     map_file = tmp_path / "map.json"
     map_file.write_text("[0,")
-    for text in ("[0,", f"@{map_file}"):
+    for text, what in (("[0,", "map"), (f"@{map_file}", f"map file '{map_file}'")):
         code, doc = run_json(["factorize", "Z4", text])
         assert code == 2 and doc["error"] == {
-            "type": "UAlgError", "message": "bad map: Expecting value: line 1 column 4 (char 3)"
+            "type": "UAlgError", "message": f"bad {what}: Expecting value: line 1 column 4 (char 3)"
         }
 
 
