@@ -9,7 +9,10 @@ This module is the only one that knows the row-major layout.  Operation
 and term tables are built by :meth:`FiniteAlgebra.apply_tables`, applied to
 :func:`projection_tables` or to tables pulled back from them.  The one closure
 loop, :func:`_generated`, builds generated subalgebras and the clone, which is
-the subalgebra of X^(X³) that the projections generate.
+the subalgebra of X^(X³) that the projections generate.  When every operation
+of arity n >= 1 has k^n <= 256 entries, that loop holds its tables as
+``bytes`` and applies an operation with one base-256 integer sum and one
+``bytes.translate``; otherwise it applies them through ``apply_tables``.
 """
 
 import itertools
@@ -431,7 +434,7 @@ def _byte_rounds(
     f(t_1, ..., t_n).
     """
     k = X.size
-    weights = [k**p for p in range(max(arity for _, arity in ops))] if ops else []
+    weights = [k**p for p in range(max((arity for _, arity in ops), default=0))]
     weighted = [[int.from_bytes(t, "big") * w for t in known] for w in weights]
     maps = [(bytes(X._tables[name]).ljust(256, b"\0"), arity) for name, arity in ops]
     seen = set(known)

@@ -5,14 +5,16 @@ deliberately sharing no algorithmic route with the library: set partitions
 are enumerated recursively (not as restricted-growth strings), semigroup,
 clone and subalgebra closures run as repeated full passes over raw tables, the
 largest-congruence oracle filters the whole congruence lattice, and terms
-are evaluated one assignment at a time by recursion.  Three are exceptions,
+are evaluated one assignment at a time by recursion.  Four are exceptions,
 routes the library used before, kept as the references it must reproduce
 exactly: ``frozen_word_semigroup``, the closure loop that the translation
 semigroup used before it kept its members as a tree;
 ``naive_translation_witness``, the same-block pair scan that the
 translation congruence test used before it compared each element with its
-block's least member; and ``frozen_flatten``, the depth-first table check
-that algebra construction used before it checked one nesting level at a time.
+block's least member; ``frozen_flatten``, the depth-first table check
+that algebra construction used before it checked one nesting level at a
+time; and ``frozen_generated``, the tuple-table closure loop that generated
+subalgebras and the clone used before they composed in bytes.
 """
 
 import itertools
@@ -169,6 +171,32 @@ def naive_clone_tables(X):
         if not new:
             return tables
         tables |= new
+
+
+def frozen_generated(X, seeds):
+    """Close ``seeds`` (tables of one length) and the constants under the operations
+    of X applied pointwise, breadth-first: each round applies every operation to the
+    argument tuples, in lexicographic order, that use a table of the round before.
+    Tables are yielded when first found, so stopping early stops the closure."""
+    length = len(seeds[0]) if seeds else 1
+    constants = [X.apply_tables(name, ()) * length for name, arity in X.sig if arity == 0]
+    known = list(dict.fromkeys([*seeds, *constants]))
+    yield from known
+    seen = set(known)
+    ops = [(name, arity) for name, arity in X.sig if arity >= 1]
+    start = 0
+    while start < len(known):
+        end = len(known)
+        for name, arity in ops:
+            for combo in itertools.product(range(end), repeat=arity):
+                if max(combo) < start:
+                    continue  # all arguments old: already generated
+                table = X.apply_tables(name, [known[i] for i in combo])
+                if table not in seen:
+                    seen.add(table)
+                    known.append(table)
+                    yield table
+        start = end
 
 
 def naive_subalgebra(X, seed):

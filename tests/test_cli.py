@@ -236,6 +236,22 @@ def test_undecodable_files_are_format_errors_naming_the_file(tmp_path):
         }
 
 
+def test_json_syntax_errors_in_path_arguments_name_the_file(tmp_path):
+    broken = tmp_path / "broken.json"
+    broken.write_text("[[0,")
+    syntax = "Expecting value: line 1 column 5 (char 4)"
+    for argv, what in (
+        (["factorize", "Z4", f"@{broken}"], "map"),
+        (["hom-check", "Z4", "Z4", f"@{broken}"], "map"),
+        (["subalgebra", "Z4", f"@{broken}"], "seed"),
+        (["gen-congruence", "Z4", f"@{broken}"], "pairs"),
+    ):
+        code, doc = run_json(argv)
+        assert code == 2 and doc["error"] == {"type": "UAlgError", "message": f"bad {what} file '{broken}': {syntax}"}
+        code, doc = run_json([*argv[:-1], "[[0,"])
+        assert code == 2 and doc["error"] == {"type": "UAlgError", "message": f"bad {what}: {syntax}"}
+
+
 def test_clone_cap_counts_the_projections(tmp_path, capsys):
     identity = tmp_path / "identity.json"
     identity.write_text(json.dumps(
