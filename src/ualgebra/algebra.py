@@ -7,12 +7,15 @@ here are pure.
 
 This module is the only one that knows the row-major layout.  Operation
 and term tables are built by :meth:`FiniteAlgebra.apply_tables`, applied to
-:func:`projection_tables` or to tables pulled back from them.  The one closure
-loop, :func:`_generated`, builds generated subalgebras and the clone, which is
-the subalgebra of X^(X³) that the projections generate.  When every operation
-of arity n >= 1 has k^n <= 256 entries, that loop holds its tables as
-``bytes`` and applies an operation with one base-256 integer sum and one
-``bytes.translate``; otherwise it applies them through ``apply_tables``.
+:func:`projection_tables` or to tables pulled back from them.  An operation
+of arity n with k^n <= 256 entries is applied with one base-256 integer sum
+and one ``bytes.translate``, so its argument and result tables may be
+``bytes``; larger ones are applied by row-major index over tuples.
+:func:`holds` evaluates both terms over ``bytes`` variable tables whenever
+every operation fits that edge.  The one closure loop, :func:`_generated`,
+builds generated subalgebras and the clone, which is the subalgebra of
+X^(X³) that the projections generate; below the same edge it holds its
+tables as ``bytes`` throughout.
 """
 
 import itertools
@@ -72,6 +75,16 @@ def _encode(sizes: Sequence[int], columns: Sequence[Sequence[int]]) -> Sequence[
     for k, column in zip(sizes[1:], columns[1:]):
         index = [i * k + x for i, x in zip(index, column)]
     return index
+
+
+def _byte_map(table: Sequence[int]) -> bytes:
+    """An operation table, k^n <= 256 entries, as a ``bytes.translate`` map: padded with zeros to 256 bytes."""
+    return bytes(table).ljust(256, b"\0")
+
+
+def _fits_bytes(X: "FiniteAlgebra") -> bool:
+    """Whether k <= 256 and every operation of arity n >= 1 has k^n <= 256 entries."""
+    return X.size ** max((arity for _, arity in X.sig if arity >= 1), default=1) <= 256
 
 
 def _first_difference(left: Iterable[int], right: Iterable[int]) -> int | None:
@@ -155,13 +168,19 @@ class FiniteAlgebra:
             index = index * self.size + a
         return self._tables[symbol][index]
 
-    def apply_tables(self, symbol: str, args: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    def apply_tables(self, symbol: str, args: Sequence[Sequence[int]]) -> Sequence[int]:
         """Apply ``symbol`` pointwise to equal-length tables of carrier elements.
 
         Entry j of the result is the operation's value on the j-th entries
         of the argument tables.  Entries are not range-checked: callers pass
         projection tables, tables built from them, or checked input.  A
         constant gives its one-entry table.
+
+        For arity n with k^n <= 256 the base-256 number
+        Σ int.from_bytes(args[i]) · k^(n-1-i) has as digit j the row-major
+        index of the j-th argument tuple (below 256, so no digit carries),
+        and its bytes translated through the table are the result.  There,
+        ``bytes`` arguments give ``bytes``; otherwise the result is a tuple.
         """
         arity = self.sig.arity(symbol)
         if len(args) != arity:
@@ -173,7 +192,14 @@ class FiniteAlgebra:
         _check_length(length)
         if any(len(arg) != length for arg in args):
             raise SizeMismatchError(f"argument tables for '{symbol}' differ in length")
-        return tuple(map(table.__getitem__, _encode((self.size,) * arity, args)))
+        k = self.size
+        if k**arity > 256:
+            return tuple(map(table.__getitem__, _encode((k,) * arity, args)))
+        index = int.from_bytes(args[0], "big")
+        for arg in args[1:]:
+            index = index * k + int.from_bytes(arg, "big")
+        values = index.to_bytes(length, "big").translate(_byte_map(table))
+        return values if all(type(arg) is bytes for arg in args) else tuple(values)
 
     def table(self, symbol: str):
         """Raw flat table (int for constants)."""
@@ -337,19 +363,23 @@ def holds(X: FiniteAlgebra, p: Term, q: Term) -> Check:
     assignment, as a dict ``{variable index: element}``.  With two or more
     variables the term tables are built one value of the first variable at
     a time, in order, so a failing identity stops at the first chunk that
-    differs.
+    differs.  When every operation has k^n <= 256 entries the variable
+    tables are ``bytes``, so both term tables are ``bytes`` end to end.
     """
+    k = X.size
     variables = sorted(vars_of(p) | vars_of(q))
-    _check_length(X.size ** len(variables))
+    _check_length(k ** len(variables))
+    as_table = bytes if _fits_bytes(X) else tuple
     if len(variables) < 2:
-        chunks = [projection_tables((X.size,) * len(variables))]
+        chunks = [list(map(as_table, projection_tables((k,) * len(variables))))]
     else:
-        rest = projection_tables((X.size,) * (len(variables) - 1))
-        chunks = ([(x,) * len(rest[0]), *rest] for x in range(X.size))
+        rest = list(map(as_table, projection_tables((k,) * (len(variables) - 1))))
+        chunks = ([as_table((x,)) * len(rest[0]), *rest] for x in range(k))
     for tables in chunks:
         env = dict(zip(variables, tables))
-        j = _first_difference(term_table(p, X, env), term_table(q, X, env))
-        if j is not None:
+        left, right = term_table(p, X, env), term_table(q, X, env)
+        if left != right:
+            j = _first_difference(left, right)
             return Check(False, {v: env[v][j] for v in variables})
     return Check(True)
 
@@ -388,7 +418,7 @@ def _generated(X: FiniteAlgebra, seeds: Sequence[tuple[int, ...]]) -> Iterator[t
     known = list(dict.fromkeys([*seeds, *constants]))
     yield from known
     ops = [(name, arity) for name, arity in X.sig if arity >= 1]
-    if X.size ** max((arity for _, arity in ops), default=1) <= 256:
+    if _fits_bytes(X):
         yield from map(tuple, _byte_rounds(X, ops, [bytes(t) for t in known], length))
         return
     seen = set(known)
@@ -436,7 +466,7 @@ def _byte_rounds(
     k = X.size
     weights = [k**p for p in range(max((arity for _, arity in ops), default=0))]
     weighted = [[int.from_bytes(t, "big") * w for t in known] for w in weights]
-    maps = [(bytes(X._tables[name]).ljust(256, b"\0"), arity) for name, arity in ops]
+    maps = [(_byte_map(X._tables[name]), arity) for name, arity in ops]
     seen = set(known)
     start = 0
     while start < len(known):

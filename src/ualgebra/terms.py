@@ -186,10 +186,14 @@ def term_table(t: Term, algebra, env: Mapping[int, Sequence[int]]) -> Sequence[i
     tables of one length n (n is 1 when ``env`` is empty).  Entry j of the
     result is the value of ``t`` when every variable takes entry j of its
     table.  Every symbol of ``t`` must exist in the algebra's signature with
-    matching arity.
+    matching arity.  With ``bytes`` variable tables a constant's table is
+    ``bytes`` too, so the result is ``bytes`` wherever
+    ``algebra.apply_tables`` keeps them.
     """
     sig = algebra.sig
-    n = len(next(iter(env.values()))) if env else 1
+    sample = next(iter(env.values()), ())
+    n = len(sample) if env else 1
+    as_table = bytes if type(sample) is bytes else tuple
 
     def table(u):
         if isinstance(u, Variable):
@@ -203,7 +207,7 @@ def term_table(t: Term, algebra, env: Mapping[int, Sequence[int]]) -> Sequence[i
                 f"algebra signature has no {len(children)}-ary symbol '{u.symbol}'"
             )
         if not children:
-            return algebra.apply_tables(u.symbol, ()) * n
+            return as_table(algebra.apply_tables(u.symbol, ())) * n
         return algebra.apply_tables(u.symbol, [table(c) for c in children])
 
     return table(t)

@@ -112,7 +112,10 @@ def semigroup_tree(X, cap: int = SEMIGROUP_HARD_CAP) -> SemigroupTree:
     the 256-byte map ``bytes(table) + bytes(range(k, 256))``, and member t
     followed by generator g is ``t.translate(g)``.  Larger carriers compose
     tuples with ``itemgetter``.  The returned tables are tuples either way.
+    The identity counts against ``cap``, so cap 0 admits no member.
     """
+    if cap < 1:
+        raise SizeCapError(f"1 translations found, cap {cap} (--max-semigroup)")
     k = X.size
     generators = principal_translations(X)
     if k <= 256:

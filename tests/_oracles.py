@@ -5,7 +5,7 @@ deliberately sharing no algorithmic route with the library: set partitions
 are enumerated recursively (not as restricted-growth strings), semigroup,
 clone and subalgebra closures run as repeated full passes over raw tables, the
 largest-congruence oracle filters the whole congruence lattice, and terms
-are evaluated one assignment at a time by recursion.  Four are exceptions,
+are evaluated one assignment at a time by recursion.  Five are exceptions,
 routes the library used before, kept as the references it must reproduce
 exactly: ``frozen_word_semigroup``, the closure loop that the translation
 semigroup used before it kept its members as a tree;
@@ -13,8 +13,10 @@ semigroup used before it kept its members as a tree;
 translation congruence test used before it compared each element with its
 block's least member; ``frozen_flatten``, the depth-first table check
 that algebra construction used before it checked one nesting level at a
-time; and ``frozen_generated``, the tuple-table closure loop that generated
-subalgebras and the clone used before they composed in bytes.
+time; ``frozen_generated``, the tuple-table closure loop that generated
+subalgebras and the clone used before they composed in bytes; and
+``frozen_apply_tables``, the row-major tuple route that applied every
+operation before small ones were applied in bytes.
 """
 
 import itertools
@@ -23,7 +25,8 @@ from operator import itemgetter
 
 from ualgebra import Constant, FiniteAlgebra, Signature, Translation, Variable, principal_translations
 from ualgebra.check import Check
-from ualgebra.errors import FormatError, OutOfCarrierError, SizeCapError
+from ualgebra.algebra import TABLE_CAP
+from ualgebra.errors import ArityMismatchError, FormatError, OutOfCarrierError, SizeCapError, SizeMismatchError
 
 
 def naive_partitions(n):
@@ -173,13 +176,34 @@ def naive_clone_tables(X):
         tables |= new
 
 
+def frozen_apply_tables(X, symbol, args):
+    """``symbol`` applied pointwise to equal-length tables, the way
+    ``FiniteAlgebra.apply_tables`` did before it applied small operations in
+    bytes: one row-major index per entry, looked up in a tuple."""
+    arity = X.sig.arity(symbol)
+    if len(args) != arity:
+        raise ArityMismatchError(symbol, arity, len(args))
+    table = X.table(symbol)
+    if not args:
+        return (table,)
+    length = len(args[0])
+    if length > TABLE_CAP:
+        raise SizeCapError(f"a table of {length} entries exceeds the fixed limit of {TABLE_CAP} entries")
+    if any(len(arg) != length for arg in args):
+        raise SizeMismatchError(f"argument tables for '{symbol}' differ in length")
+    index = args[0]
+    for column in args[1:]:
+        index = [i * X.size + x for i, x in zip(index, column)]
+    return tuple(map(table.__getitem__, index))
+
+
 def frozen_generated(X, seeds):
     """Close ``seeds`` (tables of one length) and the constants under the operations
     of X applied pointwise, breadth-first: each round applies every operation to the
     argument tuples, in lexicographic order, that use a table of the round before.
     Tables are yielded when first found, so stopping early stops the closure."""
     length = len(seeds[0]) if seeds else 1
-    constants = [X.apply_tables(name, ()) * length for name, arity in X.sig if arity == 0]
+    constants = [frozen_apply_tables(X, name, ()) * length for name, arity in X.sig if arity == 0]
     known = list(dict.fromkeys([*seeds, *constants]))
     yield from known
     seen = set(known)
@@ -191,7 +215,7 @@ def frozen_generated(X, seeds):
             for combo in itertools.product(range(end), repeat=arity):
                 if max(combo) < start:
                     continue  # all arguments old: already generated
-                table = X.apply_tables(name, [known[i] for i in combo])
+                table = frozen_apply_tables(X, name, [known[i] for i in combo])
                 if table not in seen:
                     seen.add(table)
                     known.append(table)

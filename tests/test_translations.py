@@ -237,3 +237,27 @@ def test_cap_message_is_unchanged_at_the_byte_boundary(k, tmp_path, capsys):
     path.write_text(json.dumps(X.to_json_dict()))
     assert main(["translations", str(path), "--max-semigroup", str(k - 1)]) == 3
     assert capsys.readouterr() == ("", f"error: {expected.value}\n")
+
+
+CONSTANTS_ONLY = FiniteAlgebra(Signature([("c", 0)]), 3, {"c": 1})
+
+
+@pytest.mark.parametrize("X", [CONSTANTS_ONLY, Z2], ids=["constants-only", "Z2"])
+def test_cap_zero_refuses_the_identity(X, tmp_path, capsys):
+    message = "1 translations found, cap 0 (--max-semigroup)"
+    with pytest.raises(SizeCapError) as refused:
+        semigroup_tree(X, cap=0)
+    assert str(refused.value) == message
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(X.to_json_dict()))
+    assert main(["translations", str(path), "--max-semigroup", "0", "--json"]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"]["message"] == message
+    assert main(["translations", str(path), "--max-semigroup", "0"]) == 3
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_cap_one_admits_only_the_identity():
+    assert semigroup_tree(CONSTANTS_ONLY, cap=1).tables == [(0, 1, 2)]
+    with pytest.raises(SizeCapError, match="2 translations found, cap 1"):
+        semigroup_tree(Z2, cap=1)
