@@ -10,17 +10,22 @@ the pairs a < b and the congruences found by the congruence-lattice search
 of ``congruences`` and ``factorize --oracle``.  A negative cap is a usage
 error.
 
+A plain command line (the command, its positionals, then options spelled
+in full with valid values) is read directly, without importing argparse.
+Any other, ``-h`` and every usage error included, goes to the argparse
+parser, so help and usage errors are argparse's, byte for byte.
+
 Exit codes: 0 success/PASS, 1 semantic FAIL, 2 usage or parse error,
 3 cap exceeded.
 """
 
-import argparse
 import json
 import sys
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import NamedTuple
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import fixtures
 from .algebra import (
@@ -41,6 +46,9 @@ from .malcev import has_malcev_term, table_is_malcev
 from .partitions import Partition
 from .terms import classify_identity, evaluate, format_term, parse_term
 from .translations import SEMIGROUP_HARD_CAP, semigroup_tree
+
+if TYPE_CHECKING:
+    import argparse
 
 SCHEMA = 1
 
@@ -330,8 +338,9 @@ def cmd_translations(args) -> tuple[int, dict, list[str]]:
 
 def cmd_malcev(args) -> tuple[int, dict, list[str]]:
     target = args.target
-    if _is_decimal(target):
-        k = decimal(target, UAlgError, "carrier size")
+    if _is_decimal(target.removeprefix("-")):
+        # a negative size is refused as 0 is, however many digits it has
+        k = 0 if target.startswith("-") else decimal(target, UAlgError, "carrier size")
         enumeration = find_malcev_operations(k, cap=args.max_clone)
         payload = {
             "mode": "enumerate",
@@ -427,7 +436,8 @@ def cmd_fixtures(args) -> tuple[int, dict, list[str]]:
 # ---------------------------------------------------------------------------
 # parser / entry point
 
-# name: (handler, help, {positional: add_argument options}); usage lists the names in this order
+# name: (handler, help, {positional: add_argument options}); usage lists the names in this order.
+# A positional with nargs comes last: ``_plain_args`` assigns positionals in one pass.
 _COMMANDS = {
     "check-identity": (cmd_check_identity, "check p ≈ q on an algebra", {"algebra": {}, "p": {}, "q": {}}),
     "variety-check": (
@@ -474,39 +484,91 @@ def _cap(text: str) -> int:
     """A cap flag's value: a non-negative integer.  argparse names the flag."""
     try:
         value = int(text)
+        if value >= 0:
+            return value
+        message = f"cap must not be negative, got {value}"
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"cap must not be negative, got {value}")
-    return value
+        message = f"invalid int value: {text!r}"
+    import argparse
+
+    raise argparse.ArgumentTypeError(message)
 
 
-def build_parser(only: str | None = None) -> argparse.ArgumentParser:
-    """The ``ualg`` parser: every subcommand, or only the one ``only`` names.
+# flag: (dest, type, default, help), read by both parsers; type None is a store_true flag
+_OPTIONS = {
+    "--json": ("json", None, False, "emit machine-readable JSON"),
+    "--oracle": ("oracle", None, False, "run brute-force cross-checks"),
+    "--threads": ("threads", int, 1, "reserved; has no effect"),
+    "--max-semigroup": ("max_semigroup", _cap, SEMIGROUP_HARD_CAP, "caps |S| in translations"),
+    "--max-partitions": ("max_partitions", _cap, PARTITION_ENUM_CAP, None),
+    "--max-clone": ("max_clone", _cap, CLONE_CAP, None),
+}
 
-    Both parsers print the same bytes for that command's arguments: the
-    one-command parser lists every command in its usage line, as the full
-    parser does.
-    """
+
+def build_parser() -> "argparse.ArgumentParser":
+    """The ``ualg`` argparse parser, which prints help and every usage error."""
+    import argparse
+
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit machine-readable JSON")
-    common.add_argument("--oracle", action="store_true", help="run brute-force cross-checks")
-    common.add_argument("--threads", type=int, default=1, help="reserved; has no effect")
-    common.add_argument("--max-semigroup", type=_cap, default=SEMIGROUP_HARD_CAP, help="caps |S| in translations")
-    common.add_argument("--max-partitions", type=_cap, default=PARTITION_ENUM_CAP)
-    common.add_argument("--max-clone", type=_cap, default=CLONE_CAP)
+    for flag, (dest, kind, default, help_text) in _OPTIONS.items():
+        if kind is None:
+            common.add_argument(flag, dest=dest, action="store_true", help=help_text)
+        else:
+            common.add_argument(flag, dest=dest, type=kind, default=default, help=help_text)
 
     parser = argparse.ArgumentParser(prog="ualg", description="finite universal-algebra workbench")
-    # a metavar in the full parser would replace "command" in its error messages
-    metavar = None if only is None else "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-
-    for name in _COMMANDS if only is None else [only]:
-        _, help_text, positionals = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, positionals) in _COMMANDS.items():
         p = sub.add_parser(name, parents=[common], help=help_text)
         for arg, options in positionals.items():
             p.add_argument(arg, **options)
     return parser
+
+
+def _plain_args(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace ``build_parser().parse_args(argv)`` gives for a plain
+    command line, or None for any other.
+
+    A plain command line is a command name, then exactly the positionals it
+    declares, none starting with '-', then only options spelled in full;
+    a typed option takes the next token, which must not start with '-' and
+    which its type must accept.  Everything else, ``-h`` and every usage
+    error included, is left to argparse.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    end = next((i for i, token in enumerate(argv) if token.startswith("-")), len(argv))
+    rest = argv[1:end]
+    args = {"command": argv[0]}
+    for name, options in _COMMANDS[argv[0]][2].items():
+        nargs = options.get("nargs")
+        if not rest:
+            if nargs != "?":
+                return None
+            args[name] = options["default"]
+        elif nargs == "+":
+            args[name], rest = rest, []
+        else:
+            args[name], rest = rest[0], rest[1:]
+    if rest:
+        return None
+    args.update((dest, default) for dest, _, default, _ in _OPTIONS.values())
+    tokens = iter(argv[end:])
+    for flag in tokens:
+        if flag not in _OPTIONS:
+            return None
+        dest, kind, _, _ = _OPTIONS[flag]
+        if kind is None:
+            args[dest] = True
+            continue
+        value = next(tokens, "-")  # a missing value goes to argparse as one starting with '-'
+        if value.startswith("-"):
+            return None
+        try:
+            args[dest] = kind(value)
+        except Exception:  # int or _cap refuses the value: argparse reports it
+            return None
+    return SimpleNamespace(**args)
 
 
 class Rows(NamedTuple):
@@ -619,7 +681,7 @@ def _emit(as_json: bool, command: str, code: int, payload: dict, human: list[str
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
+    args = _plain_args(argv) or build_parser().parse_args(argv)
     handler = _COMMANDS[args.command][0]
     try:
         code, payload, human = handler(args)

@@ -1,16 +1,22 @@
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
 from ualgebra import CarrierMap, Signature, fixtures, kernel, least_factorization
-from ualgebra.cli import _COMMANDS, build_parser, main
+from ualgebra.cli import _COMMANDS, _OPTIONS, _plain_args, build_parser, main
 from ualgebra.terms import MAX_TERM_DEPTH
 
 from _oracles import planted_algebra
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(argv):
@@ -136,9 +142,10 @@ def test_malcev_enumerate_cap_exit_3():
 
 
 def test_malcev_of_an_empty_carrier_is_a_typed_usage_error(capsys):
-    code, doc = run_json(["malcev", "0"])
-    assert code == 2 and doc["error"] == {"type": "UAlgError", "message": "carrier size must be at least 1"}
-    assert capsys.readouterr().err == "error: carrier size must be at least 1\n"
+    for size in ("0", "-1"):
+        code, doc = run_json(["malcev", size])
+        assert code == 2 and doc["error"] == {"type": "UAlgError", "message": "carrier size must be at least 1"}
+        assert capsys.readouterr().err == "error: carrier size must be at least 1\n"
 
 
 def test_malcev_algebra_modes():
@@ -401,37 +408,94 @@ POSITIONALS = {
 }
 
 
+class _Parsed(Exception):
+    """Raised, in place of running a command, with the arguments ``main`` parsed."""
+
+
+def _stand_in(args):
+    raise _Parsed(vars(args))
+
+
 def _parsed(parse, argv):
     """stdout, stderr and the parsed arguments or the SystemExit code."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
             result = vars(parse(argv))
+        except _Parsed as exc:
+            result = exc.args[0]
         except SystemExit as exc:
             result = ("exit", exc.code)
     return out.getvalue(), err.getvalue(), result
 
 
-def test_one_command_parser_prints_the_bytes_of_the_full_parser(monkeypatch):
-    for columns in ("40", "120"):
-        monkeypatch.setenv("COLUMNS", columns)
-        for command in _COMMANDS:
-            given = [command, *POSITIONALS[command]]
-            for argv in (
-                [command, "-h"],
-                [command],
-                given + ["--json"],
-                given + ["--nope"],
-                given + ["--threads", "two"],
-                given + ["extra"],
-            ):
-                one = _parsed(build_parser(command).parse_args, argv)
-                assert one == _parsed(build_parser().parse_args, argv), argv
+def _sampled_argvs(count):
+    """Seeded argvs around the plain form: positionals then options, and
+    every token that takes a command line off it."""
+    rng = random.Random(14)
+    commands = [*_COMMANDS, "bogus"]
+    positionals = ["x"] * 40 + ["", "@f", "p=q", "-1", "-x y", "-h", "--"]
+    flags = [*_OPTIONS] * 12 + [f"{flag}=7" for flag in _OPTIONS] + [flag[:-2] for flag in _OPTIONS]
+    flags += ["--max", "--nope", "-h", "--", "x"]
+    values = ["0", "7", " 7", "+3", "1_000"] * 6 + ["two", "", "-1", "-x y", "9" * 5000]
+    argvs = []
+    for _ in range(count):
+        command = rng.choice(commands)
+        size = len(POSITIONALS.get(command, ())) + rng.choice([0, 0, 0, 1, -1])
+        argv = [command, *rng.choices(positionals, k=max(size, 0))]
+        for flag in rng.choices(flags, k=rng.randint(0, 3)):
+            argv.append(flag)
+            if flag not in ("--json", "--oracle") or rng.random() < 0.1:
+                argv.append(rng.choice(values))
+        if rng.random() < 0.05:
+            rng.shuffle(argv)
+        argvs.append(argv)
+    return argvs
 
-        for argv in ([], ["-h"], ["bogus"], ["fact"], ["--json"], ["--json", "fixtures"]):
-            assert _parsed(main, argv) == _parsed(build_parser().parse_args, argv), argv
-        assert "required: command" in _parsed(main, [])[1]
-        assert "argument command: invalid choice: 'bogus'" in _parsed(main, ["bogus"])[1]
+
+def test_plain_command_lines_parse_as_argparse_does(monkeypatch):
+    for name, (_, help_text, positionals) in list(_COMMANDS.items()):
+        monkeypatch.setitem(_COMMANDS, name, (_stand_in, help_text, positionals))
+    fixed = [[], ["-h"], ["bogus"], ["fact"], ["--json"], ["--json", "fixtures"]]
+    tails = [["--json"], ["--nope"], ["--threads", "two"], ["extra"]]
+    for command in _COMMANDS:
+        given = [command, *POSITIONALS[command]]
+        assert _plain_args(given + ["--json"]) is not None, given
+        fixed += [[command, "-h"], [command], *(given + tail for tail in tails)]
+    plain = 0
+    for columns, argvs in (("40", fixed), ("120", fixed + _sampled_argvs(1000))):
+        monkeypatch.setenv("COLUMNS", columns)
+        parser = build_parser()
+        for argv in argvs:
+            expected = _parsed(parser.parse_args, argv)
+            assert _parsed(main, argv) == expected, argv
+            args = _plain_args(argv)
+            if args is not None:
+                plain += 1
+                assert expected == ("", "", vars(args)), argv
+    assert plain > 250
+    assert "required: command" in _parsed(main, [])[1]
+    assert "argument command: invalid choice: 'bogus'" in _parsed(main, ["bogus"])[1]
+
+
+def _run(*args):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, cwd=ROOT)
+
+
+def test_ualg_runs_as_a_process():
+    golden = json.loads((ROOT / "tests" / "cli_golden.json").read_text())
+    done = _run("-m", "ualgebra.cli", "fixtures", "--json")
+    assert {"argv": ["fixtures", "--json"], "exit_code": done.returncode, "stdout": done.stdout} in golden
+
+    plain = "import sys; from ualgebra.cli import main; main(['congruences', 'Z4', '--json', '--max-partitions', '9'])"
+    done = _run("-c", plain + "; print(sorted({'argparse', 'gettext'} & set(sys.modules)))")
+    assert done.returncode == 0 and done.stdout.endswith("}\n[]\n")
+
+    done = _run("-m", "ualgebra.cli", "factorize")
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("usage: ualg factorize [-h]")
+    assert done.stderr.endswith("error: the following arguments are required: algebra, map\n")
 
 
 def test_malcev_refuses_sizes_whose_table_exceeds_the_table_limit(capsys):
