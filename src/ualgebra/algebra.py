@@ -5,12 +5,12 @@ flat in row-major (lexicographic argument) order; arity 0 is a single
 element.  All values are immutable after construction and all operations
 here are pure.
 
-This module is the only one that knows the row-major layout.  Operation
-and term tables are built by :meth:`FiniteAlgebra.apply_tables`, applied to
-:func:`projection_tables` or to tables pulled back from them.  An operation
-of arity n with k^n <= 256 entries is applied with one base-256 integer sum
-and one ``bytes.translate``, so its argument and result tables may be
-``bytes``; larger ones are applied by row-major index over tuples.
+This module is the only one that knows the row-major layout.  Principal
+translations are strided slices of the stored tables, and :func:`_images`
+reads them at row-major indices.  :meth:`FiniteAlgebra.apply_tables` builds
+term and closure tables: an operation with k^n <= 256 entries is applied
+with one base-256 sum and one ``bytes.translate``, so its argument and result
+tables may be ``bytes``; larger ones are applied by row-major index.
 :func:`holds` evaluates both terms over ``bytes`` variable tables whenever
 every operation fits that edge.  The one closure loop, :func:`_generated`,
 builds generated subalgebras and the clone, which is the subalgebra of
@@ -172,9 +172,9 @@ class FiniteAlgebra:
         """Apply ``symbol`` pointwise to equal-length tables of carrier elements.
 
         Entry j of the result is the operation's value on the j-th entries
-        of the argument tables.  Entries are not range-checked: callers pass
-        projection tables, tables built from them, or checked input.  A
-        constant gives its one-entry table.
+        of the argument tables.  Entries are not range-checked: its callers,
+        ``term_table`` and :func:`_generated`, pass projection tables, tables
+        built from them, or checked input.  A constant gives its one-entry table.
 
         For arity n with k^n <= 256 the base-256 number
         Σ int.from_bytes(args[i]) · k^(n-1-i) has as digit j the row-major
@@ -200,6 +200,17 @@ class FiniteAlgebra:
             index = index * k + int.from_bytes(arg, "big")
         values = index.to_bytes(length, "big").translate(_byte_map(table))
         return values if all(type(arg) is bytes for arg in args) else tuple(values)
+
+    def translation_tables(self, symbol: str) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+        """``(slot, fixed, table)`` of each principal translation of ``symbol``, by slot, then fixed tuple.
+
+        Each table is a slice of the stored table, in steps of k^(arity - slot)."""
+        k, arity, table = self.size, self.sig.arity(symbol), self._tables[symbol]
+        for slot in range(1, arity + 1):
+            step = k ** (arity - slot)
+            starts = (high + low for high in range(0, k**arity, k * step) for low in range(step))
+            for fixed, start in zip(itertools.product(range(k), repeat=arity - 1), starts):
+                yield slot, fixed, table[start : start + k * step : step]
 
     def table(self, symbol: str):
         """Raw flat table (int for constants)."""
@@ -265,12 +276,15 @@ def _images(X: FiniteAlgebra, elements: Sequence[int]) -> dict[str, tuple[int, .
     """Each symbol's values on all tuples of ``elements``, in row-major order.
 
     Entry j of a symbol's table is its value on the j-th tuple of positions
-    into ``elements``: the projection tables pulled back along ``elements``.
+    into ``elements``, read off the stored table at the tuple's row-major index.
     """
     out = {}
     for name, arity in X.sig:
-        positions = projection_tables((len(elements),) * arity)
-        out[name] = X.apply_tables(name, [tuple(map(elements.__getitem__, p)) for p in positions])
+        _check_length(len(elements) ** arity)
+        index = [0]
+        for _ in range(arity):
+            index = [i * X.size + x for i in index for x in elements]
+        out[name] = tuple(map(X._tables[name].__getitem__, index))
     return out
 
 
@@ -348,7 +362,7 @@ def is_homomorphism(phi: CarrierMap, X: FiniteAlgebra, Y: FiniteAlgebra) -> Chec
     for idx, (name, arity) in enumerate(X.sig):
         j = _first_difference(map(phi.values.__getitem__, X._tables[name]), target[name])
         if j is not None:
-            args = tuple(p[j] for p in projection_tables((X.size,) * arity))
+            args = tuple(j // X.size ** (arity - 1 - i) % X.size for i in range(arity))
             if best is None or (args, idx) < best[:2]:
                 best = (args, idx, name)
     if best is None:

@@ -7,12 +7,11 @@ carrier.  Members carry the word (sequence of principal-translation
 descriptors) that produced them, applied left to right.
 """
 
-import itertools
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import NamedTuple
 
-from .errors import SizeCapError
+from .errors import SizeCapError, UAlgError
 
 SEMIGROUP_HARD_CAP = 10**6  # tables; |S(X)| <= k^k always
 
@@ -52,31 +51,18 @@ class Translation:
         return "∘".join(d.format() for d in reversed(self.word))
 
 
-def _descriptor_table(X, desc: PrincipalDescriptor) -> tuple[int, ...]:
-    args = [(c,) * X.size for c in desc.fixed]
-    args.insert(desc.slot - 1, tuple(range(X.size)))
-    return X.apply_tables(desc.symbol, args)
-
-
 def principal_translations(X) -> list[Translation]:
     """All principal translations, deduplicated by table (first word kept).
 
-    Enumeration order is lexicographic over (symbol declaration order, slot,
-    fixed tuple).  Nullary symbols contribute nothing.
+    The tables are the slices of :meth:`FiniteAlgebra.translation_tables`, in
+    symbol declaration order, then slot, then fixed tuple; constants give none.
     """
-    out: list[Translation] = []
-    seen: set[tuple[int, ...]] = set()
-    for name, arity in X.sig:
-        if arity == 0:
-            continue
-        for slot in range(1, arity + 1):
-            for fixed in itertools.product(range(X.size), repeat=arity - 1):
-                desc = PrincipalDescriptor(name, slot, fixed)
-                table = _descriptor_table(X, desc)
-                if table not in seen:
-                    seen.add(table)
-                    out.append(Translation(table, (desc,)))
-    return out
+    out: dict[tuple[int, ...], Translation] = {}
+    for name, _ in X.sig:
+        for slot, fixed, table in X.translation_tables(name):
+            if table not in out:
+                out[table] = Translation(table, (PrincipalDescriptor(name, slot, fixed),))
+    return list(out.values())
 
 
 class SemigroupTree(NamedTuple):
@@ -157,9 +143,17 @@ def translation_semigroup(X, cap: int = SEMIGROUP_HARD_CAP) -> list[Translation]
 
 
 def evaluate_word(X, word: tuple[PrincipalDescriptor, ...]) -> tuple[int, ...]:
-    """Re-evaluate a word left to right; used to audit Translation tables."""
+    """Re-evaluate a word left to right, one ``X.apply`` per point; used to audit Translation tables.
+
+    A slot outside 1..arity raises ``UAlgError``; ``X.apply`` raises
+    ``ArityMismatchError`` when ``fixed`` does not hold arity - 1 values and
+    ``OutOfCarrierError`` when one of them is outside the carrier.
+    """
     table = tuple(range(X.size))
     for desc in word:
-        step = _descriptor_table(X, desc)
-        table = tuple(step[v] for v in table)
+        arity = X.sig.arity(desc.symbol)
+        if not 1 <= desc.slot <= arity:
+            raise UAlgError(f"slot {desc.slot} of '{desc.symbol}' is outside 1..{arity}")
+        before, after = desc.fixed[: desc.slot - 1], desc.fixed[desc.slot - 1 :]
+        table = tuple(X.apply(desc.symbol, (*before, x, *after)) for x in table)
     return table

@@ -72,21 +72,26 @@ def naive_congruence_labelings(X):
     return out
 
 
-def naive_principal_tables(X):
-    """Tables of all principal translations, by direct definition."""
+def naive_principal_translations(X):
+    """``(table, (symbol, slot, fixed))`` of every principal translation by
+    direct definition, one ``X.apply`` per point, in symbol declaration order,
+    then slot, then fixed tuple; of equal tables only the first is kept."""
     k = X.size
-    tables = set()
+    first = {}
     for name, arity in X.sig:
-        if arity == 0:
-            continue
         for slot in range(1, arity + 1):
             for fixed in itertools.product(range(k), repeat=arity - 1):
                 table = tuple(
                     X.apply(name, fixed[: slot - 1] + (x,) + fixed[slot - 1 :])
                     for x in range(k)
                 )
-                tables.add(table)
-    return tables
+                first.setdefault(table, (name, slot, fixed))
+    return list(first.items())
+
+
+def naive_principal_tables(X):
+    """Tables of all principal translations, by direct definition."""
+    return {table for table, _ in naive_principal_translations(X)}
 
 
 def naive_semigroup_tables(X):
@@ -247,6 +252,31 @@ def naive_subalgebra(X, seed):
         for name, arity in X.sig
     }
     return members, tables
+
+
+def naive_quotient_tables(X, labels):
+    """Flat tables of X over the blocks of a congruence given by canonical
+    ``labels``: each block is represented by its least member."""
+    reps = [labels.index(b) for b in range(max(labels) + 1)]
+    return {
+        name: [
+            labels[X.apply(name, tuple(reps[i] for i in args))]
+            for args in itertools.product(range(len(reps)), repeat=arity)
+        ]
+        for name, arity in X.sig
+    }
+
+
+def naive_hom_witness(values, X, Y):
+    """The least ``(args, symbol index, symbol)`` with
+    values[f(args)] != f(values[args]), one ``X.apply`` per tuple; None for a homomorphism."""
+    violations = (
+        (args, idx, name)
+        for idx, (name, arity) in enumerate(X.sig)
+        for args in itertools.product(range(X.size), repeat=arity)
+        if values[X.apply(name, args)] != Y.apply(name, tuple(values[a] for a in args))
+    )
+    return min(violations, default=None)
 
 
 def naive_evaluate(t, X, assignment):

@@ -218,6 +218,8 @@ def test_cap_flag_exit_3(capsys):
     assert capsys.readouterr().err == "error: 3 translations found, cap 2 (--max-semigroup)\n"
     assert main(["clone", "Z3", "--max-clone", "5"]) == 3
     assert capsys.readouterr().err == "error: 6 ternary term operations found, cap 5 (--max-clone)\n"
+    assert main(["product", "Z8", "Z8", "Z8", "Z8"]) == 3
+    assert capsys.readouterr().err == "error: a table of 16777216 entries exceeds the fixed limit of 1048576 entries\n"
 
 
 def test_undecodable_files_are_format_errors_naming_the_file(tmp_path):

@@ -97,3 +97,8 @@ def test_table_cap_fails_fast():
     successor = tuple((x + 1) % 200 for x in range(200))
     unary = FiniteAlgebra(Signature([("u", 1)]), 200, {"u": successor})
     assert _allocated_peak(lambda: clone_ternary_terms(unary)) < 1 << 20  # 200^3 entries
+
+    # m pulled back to the 4096-element product carrier: 4096^2 entries
+    assert _allocated_peak(lambda: product([Z8] * 4)) < 1 << 20
+    with pytest.raises(SizeCapError, match="^a table of 16777216 entries exceeds the fixed limit of 1048576 entries$"):
+        product([Z8] * 4)

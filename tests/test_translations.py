@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 
@@ -17,8 +18,8 @@ from ualgebra import (
     translation_semigroup,
 )
 from ualgebra.cli import main
-from ualgebra.errors import SizeCapError
-from ualgebra.translations import semigroup_tree
+from ualgebra.errors import ArityMismatchError, OutOfCarrierError, SizeCapError, UAlgError
+from ualgebra.translations import PrincipalDescriptor, semigroup_tree
 
 from _oracles import (
     SIGNATURES,
@@ -102,6 +103,26 @@ def test_words_reevaluate_to_tables():
             assert evaluate_word(X, t.word) == t.table
         ident = translation_semigroup(X)[0]
         assert ident.word == ()
+
+
+@pytest.mark.parametrize(
+    "X, desc, error, message",
+    [
+        (Z3, PrincipalDescriptor("m", 1, (5,)), OutOfCarrierError, "argument 5 outside carrier of size 3"),
+        (cyclic_group(17), PrincipalDescriptor("m", 2, (20,)), OutOfCarrierError, "argument 20 outside carrier of size 17"),
+        (Z3, PrincipalDescriptor("m", 3, (1,)), UAlgError, "slot 3 of 'm' is outside 1..2"),
+        (Z3, PrincipalDescriptor("m", 0, (1,)), UAlgError, "slot 0 of 'm' is outside 1..2"),
+        (Z3, PrincipalDescriptor("e", 1, ()), UAlgError, "slot 1 of 'e' is outside 1..0"),
+        (Z3, PrincipalDescriptor("m", 1, ()), ArityMismatchError, "symbol 'm' expects 2 argument(s), got 1"),
+        (Z3, PrincipalDescriptor("m", 2, (1, 2)), ArityMismatchError, "symbol 'm' expects 2 argument(s), got 3"),
+    ],
+)
+def test_evaluate_word_rejects_bad_descriptors(X, desc, error, message):
+    good = PrincipalDescriptor("m", 1, (1,))
+    for word in ((desc,), (good, desc)):
+        with pytest.raises(error, match=f"^{re.escape(message)}$") as caught:
+            evaluate_word(X, word)
+        assert caught.type is error
 
 
 def test_bfs_words_are_shortest():
