@@ -14,13 +14,17 @@ tables may be ``bytes``; larger ones are applied by row-major index.
 :func:`holds` evaluates both terms over ``bytes`` variable tables whenever
 every operation fits that edge.  The one closure loop, :func:`_generated`,
 builds generated subalgebras and the clone, which is the subalgebra of
-X^(X³) that the projections generate; below the same edge it holds its
-tables as ``bytes`` throughout.
+X^(X³) that the projections generate; it holds each table as an integer of
+w-byte digits, with w from :func:`_width`, and applies an operation with one
+sum of those integers per argument tuple of tables.
 """
 
 import itertools
 import math
+import sys
+from array import array
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .check import Check
@@ -82,9 +86,14 @@ def _byte_map(table: Sequence[int]) -> bytes:
     return bytes(table).ljust(256, b"\0")
 
 
-def _fits_bytes(X: "FiniteAlgebra") -> bool:
-    """Whether k <= 256 and every operation of arity n >= 1 has k^n <= 256 entries."""
-    return X.size ** max((arity for _, arity in X.sig if arity >= 1), default=1) <= 256
+def _width(entries: int) -> int:
+    """The fewest bytes, 1, 2 or 4, that hold every index below ``entries`` <= TABLE_CAP."""
+    return 1 if entries <= 256 else 2 if entries <= 1 << 16 else 4
+
+
+def _closure_width(X: "FiniteAlgebra") -> int:
+    """:func:`_width` of k^n, for the largest arity n >= 1 of an operation of X (k if none)."""
+    return _width(X.size ** max((arity for _, arity in X.sig if arity >= 1), default=1))
 
 
 def _first_difference(left: Iterable[int], right: Iterable[int]) -> int | None:
@@ -193,7 +202,7 @@ class FiniteAlgebra:
         if any(len(arg) != length for arg in args):
             raise SizeMismatchError(f"argument tables for '{symbol}' differ in length")
         k = self.size
-        if k**arity > 256:
+        if _width(k**arity) > 1:
             return tuple(map(table.__getitem__, _encode((k,) * arity, args)))
         index = int.from_bytes(args[0], "big")
         for arg in args[1:]:
@@ -383,7 +392,7 @@ def holds(X: FiniteAlgebra, p: Term, q: Term) -> Check:
     k = X.size
     variables = sorted(vars_of(p) | vars_of(q))
     _check_length(k ** len(variables))
-    as_table = bytes if _fits_bytes(X) else tuple
+    as_table = bytes if _closure_width(X) == 1 else tuple
     if len(variables) < 2:
         chunks = [list(map(as_table, projection_tables((k,) * len(variables))))]
     else:
@@ -422,32 +431,47 @@ def _generated(X: FiniteAlgebra, seeds: Sequence[tuple[int, ...]]) -> Iterator[t
     argument tuples, in lexicographic order, that use a table of the round before.
     Tables are yielded when first found, so stopping early stops the closure.
 
-    When every operation of arity n >= 1 has k^n <= 256 entries, the closure
-    runs in ``bytes`` (:func:`_byte_rounds`): one big-integer sum, one
-    ``to_bytes`` and one ``bytes.translate`` per application.  Otherwise each
-    application is one :meth:`FiniteAlgebra.apply_tables`.  Both routes find
-    the same tables in the same order."""
+    Each known table t is also held as the integer whose w-byte digits are its
+    entries (w from :func:`_closure_width`), times each power of k below the
+    largest arity.  For f of arity n the sum Σ int(t_i)·k^(n-i) has as digit j
+    the row-major index of (t_1[j], ..., t_n[j]), which is below k^n <= 256^w,
+    so no digit carries.  With w = 1 its bytes translated through f's table,
+    padded to 256 bytes, are f(t_1, ..., t_n); with w > 1 its digits are
+    decoded through ``array`` and looked up in f's table.
+    """
     length = len(seeds[0]) if seeds else 1
     constants = [X.apply_tables(name, ()) * length for name, arity in X.sig if arity == 0]
     known = list(dict.fromkeys([*seeds, *constants]))
     yield from known
     ops = [(name, arity) for name, arity in X.sig if arity >= 1]
-    if _fits_bytes(X):
-        yield from map(tuple, _byte_rounds(X, ops, [bytes(t) for t in known], length))
-        return
+    k, w, order = X.size, _closure_width(X), sys.byteorder
+    # A table is held as bytes for w = 1 and as a tuple otherwise.  digits(t) is
+    # a buffer of its w-byte digits in the byte order ``array`` uses, and
+    # digits(b) reads such a buffer b back as the table's entries.
+    if w == 1:
+        known, digits = list(map(bytes, known)), bytes
+    else:
+        digits = partial(array, next(code for code in "HIL" if array(code).itemsize == w))
+    weights = [k**p for p in range(max((arity for _, arity in ops), default=0))]
+    weighted = [[int.from_bytes(digits(t), order) * weight for t in known] for weight in weights]
+    maps = [(_byte_map(X._tables[name]) if w == 1 else X._tables[name].__getitem__, arity) for name, arity in ops]
     seen = set(known)
     start = 0
     while start < len(known):
         end = len(known)
-        for name, arity in ops:
-            for combo in itertools.product(range(end), repeat=arity):
-                if max(combo) < start:
-                    continue  # all arguments old: already generated
-                table = X.apply_tables(name, [known[i] for i in combo])
+        for table_map, arity in maps:
+            for index in _index_sums(weighted, arity, start, end):
+                if w == 1:
+                    table = index.to_bytes(length, order).translate(table_map)
+                else:
+                    table = tuple(map(table_map, digits(index.to_bytes(length * w, order))))
                 if table not in seen:
                     seen.add(table)
                     known.append(table)
-                    yield table
+                    value = int.from_bytes(digits(table), order)
+                    for column, weight in zip(weighted, weights):
+                        column.append(value * weight)
+                    yield tuple(table)
         start = end
 
 
@@ -463,39 +487,6 @@ def _index_sums(
         return
     for c in range(end):
         yield from _index_sums(weighted, arity - 1, start, end, base + column[c], fresh or c >= start)
-
-
-def _byte_rounds(
-    X: FiniteAlgebra, ops: Sequence[tuple[str, int]], known: list[bytes], length: int
-) -> Iterator[bytes]:
-    """The rounds of :func:`_generated` over byte tables, for k^n <= 256; yields each new table.
-
-    Each known table t is also held as ``int.from_bytes(t, "big")`` times each
-    power of k below the largest arity.  For f of arity n the sum
-    Σ int(t_i)·k^(n-i) has as base-256 digit j the row-major index of
-    (t_1[j], ..., t_n[j]), which is below k^n <= 256, so no digit carries.
-    Its bytes translated through f's table, padded to 256 bytes, are
-    f(t_1, ..., t_n).
-    """
-    k = X.size
-    weights = [k**p for p in range(max((arity for _, arity in ops), default=0))]
-    weighted = [[int.from_bytes(t, "big") * w for t in known] for w in weights]
-    maps = [(_byte_map(X._tables[name]), arity) for name, arity in ops]
-    seen = set(known)
-    start = 0
-    while start < len(known):
-        end = len(known)
-        for table_map, arity in maps:
-            for index in _index_sums(weighted, arity, start, end):
-                table = index.to_bytes(length, "big").translate(table_map)
-                if table not in seen:
-                    seen.add(table)
-                    known.append(table)
-                    value = int.from_bytes(table, "big")
-                    for column, w in zip(weighted, weights):
-                        column.append(value * w)
-                    yield table
-        start = end
 
 
 def subalgebra_generated(X: FiniteAlgebra, seed: Iterable[int]) -> Subalgebra:

@@ -63,24 +63,17 @@ def _algebra(name: str) -> FiniteAlgebra:
     raise UAlgError(f"unknown algebra '{name}' (not a fixture name or readable file)")
 
 
-def _loads(text: str, what: str):
-    """``json.loads``; JSON nested too deeply, or an integer too long for ``int()``, is a FormatError."""
+def _json(text: str, what: str, error: type[UAlgError] = UAlgError):
+    """The JSON value of ``text``: malformed JSON is raised as ``error``; JSON nested
+    too deeply, or an integer too long for ``int()``, is a FormatError."""
     try:
         return json.loads(text)
     except RecursionError:
         raise FormatError(f"bad {what}: JSON nested too deeply") from None
-    except json.JSONDecodeError:
-        raise
-    except ValueError:  # int() past Python's integer-string limit
-        raise FormatError(f"bad {what}: an integer has more digits than Python's integer-string limit") from None
-
-
-def _json(text: str, what: str, error: type[UAlgError] = UAlgError):
-    """The JSON value of ``text``: ``_loads``, with malformed JSON raised as ``error``."""
-    try:
-        return _loads(text, what)
     except json.JSONDecodeError as exc:
         raise error(f"bad {what}: {exc}") from None
+    except ValueError:  # int() past Python's integer-string limit
+        raise FormatError(f"bad {what}: an integer has more digits than Python's integer-string limit") from None
 
 
 def _read_file(path: str) -> str:

@@ -3,9 +3,10 @@
 ``algebra._generated`` closes both generated subalgebras and the clone of
 ternary term operations; the cells that the Mal'cev identities fix are read
 by ``table_is_malcev``, ``is_malcev_op`` and ``find_malcev_operations``.
-The closure composes in bytes when every operation of arity n has k^n <= 256
-entries; on both sides of that edge it must reproduce ``frozen_generated``,
-the tuple-table loop, table for table and in order.
+The closure holds each table as an integer of w-byte digits, w = 1, 2 or 4,
+the fewest bytes that hold every row-major index below k^n for the largest
+arity n; on both sides of each width edge it must reproduce
+``frozen_generated``, the tuple-table loop, table for table and in order.
 """
 
 import itertools
@@ -132,7 +133,7 @@ def test_clone_cap_counts_every_table():
 
 
 # ---------------------------------------------------------------------------
-# the byte route of ``_generated`` against the frozen tuple-table loop
+# the digit rounds of ``_generated`` against the frozen tuple-table loop
 
 
 def _frozen_clone(X, cap):
@@ -213,15 +214,21 @@ def _min_chain(k, arity):
     return FiniteAlgebra(Signature([("m", arity)]), k, {"m": table})
 
 
+def _spy_widths(monkeypatch):
+    """The list that collects every digit width ``algebra._width`` returns from now on."""
+    widths = []
+    width = algebra._width
+    monkeypatch.setattr(algebra, "_width", lambda entries: widths.append(width(entries)) or widths[-1])
+    return widths
+
+
 @pytest.mark.parametrize("k, arity", [(16, 2), (17, 2), (6, 3), (7, 3)])
 def test_closure_matches_the_frozen_loop_at_the_byte_edge(k, arity, monkeypatch, tmp_path, capsys):
-    byte_route = []
-    rounds = algebra._byte_rounds
-    monkeypatch.setattr(algebra, "_byte_rounds", lambda *args: byte_route.append(True) or rounds(*args))
+    widths = _spy_widths(monkeypatch)
     X = _min_chain(k, arity)
     rng = random.Random(k)
     _assert_closures_match(X, [rng.sample(range(k), 3) for _ in range(5)], cap=CLONE_CAP)
-    assert bool(byte_route) == (k**arity <= 256)
+    assert set(widths) == {{16: 1, 6: 1, 17: 2, 7: 2}[k]}
     clone = clone_ternary_terms(X)
     assert len(clone) == 7  # min over each nonempty set of the three variables
     assert all(type(t) is tuple for t in clone)
@@ -232,6 +239,24 @@ def test_closure_matches_the_frozen_loop_at_the_byte_edge(k, arity, monkeypatch,
     path.write_text(json.dumps(X.to_json_dict()))
     assert main(["clone", str(path), "--max-clone", "6"]) == 3
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("k, width", [(256, 2), (257, 4)])
+def test_closure_matches_the_frozen_loop_at_the_four_byte_edge(k, width, monkeypatch):
+    widths = _spy_widths(monkeypatch)
+    rng = random.Random(k)
+    # a random binary operation under which {0, ..., 4} is closed
+    table = [rng.randrange(5 if x < 5 and y < 5 else k) for x in range(k) for y in range(k)]
+    X = FiniteAlgebra(Signature([("f", 2)]), k, {"f": table})
+    for seed in ([], [3], [0, 4], [k - 1]):
+        tables = [(x,) for x in seed]
+        expected = list(frozen_generated(X, tables))
+        assert list(_generated(X, tables)) == expected, seed
+        members, _ = naive_subalgebra(X, seed)
+        assert list(subalgebra_generated(X, seed).members) == members == sorted(t[0] for t in expected)
+    for seeds in ([(0, 1), (2, 3)], [(0, 1, 2), (4, 3, 2), (1, 1, 0)]):  # several digits per table
+        assert list(_generated(X, seeds)) == list(frozen_generated(X, seeds)), seeds
+    assert set(widths) == {width}
 
 
 def test_large_clones_close_within_tier_one():

@@ -5,7 +5,7 @@ level at a time; it is compared with ``frozen_flatten``, the depth-first walk
 it replaced, on valid tables, on tables with one fault and on arbitrary
 values.  Algebras the library builds (quotients, subalgebras, products,
 least factorizations) skip validation, so each is compared with a validated
-rebuild.
+rebuild.  Bad arguments to the library functions raise their typed errors.
 """
 
 import copy
@@ -17,16 +17,34 @@ from hypothesis import strategies as st
 
 from ualgebra import (
     CarrierMap,
+    Factorization,
     FiniteAlgebra,
+    Partition,
     Signature,
     congruence_generated,
+    cyclic_group,
+    enumerate_factorizations,
+    greatest_factorization,
+    is_factorization,
+    is_homomorphism,
+    largest_congruence_below,
     least_factorization,
+    precedes,
     product,
     quotient,
     subalgebra_generated,
 )
 from ualgebra.algebra import _flatten
-from ualgebra.errors import FormatError, UAlgError
+from ualgebra.congruences import is_congruence_direct, is_congruence_via_translations
+from ualgebra.errors import (
+    ArityMismatchError,
+    FormatError,
+    MismatchedBaseError,
+    OutOfCarrierError,
+    PartitionError,
+    SizeMismatchError,
+    UAlgError,
+)
 
 from _oracles import SIGNATURES, frozen_flatten, planted_algebra
 
@@ -171,3 +189,56 @@ def test_library_built_algebras_equal_a_validated_rebuild(sig):
                     table = Y._tables[name]
                     assert type(table) is tuple and len(table) == Y.size**arity
                     assert all(type(x) is int and 0 <= x < Y.size for x in table)
+
+
+Z3, IDENTITY3 = cyclic_group(3), CarrierMap.identity(3)
+SHORT_MAP = CarrierMap.identity(2)  # fits no carrier of Z3
+BAD_ARGUMENTS = {
+    "largest_congruence_below": (lambda: largest_congruence_below(Z3, Partition([0, 0])), SizeMismatchError),
+    "is_congruence_via_translations": (
+        lambda: is_congruence_via_translations(Z3, Partition([0, 0])),
+        SizeMismatchError,
+    ),
+    "is_congruence_direct": (lambda: is_congruence_direct(Z3, Partition([0, 0, 0, 0])), SizeMismatchError),
+    "congruence_generated": (lambda: congruence_generated(Z3, [(0, 3)]), OutOfCarrierError),
+    "Partition.from_blocks": (lambda: Partition.from_blocks(3, [[0, 2]]), PartitionError),
+    "Partition.from_pairs": (lambda: Partition.from_pairs(3, [(1, 3)]), PartitionError),
+    "Partition.refines": (lambda: Partition([0, 0]).refines(Partition([0, 1, 1])), SizeMismatchError),
+    "apply_tables arity": (lambda: Z3.apply_tables("m", [(0, 1)]), ArityMismatchError),
+    "apply_tables lengths": (lambda: Z3.apply_tables("m", [(0, 1), (2,)]), SizeMismatchError),
+    "is_homomorphism": (lambda: is_homomorphism(SHORT_MAP, Z3, Z3), SizeMismatchError),
+    "CarrierMap length": (lambda: CarrierMap(3, 3, (0, 1)), SizeMismatchError),
+    "CarrierMap image": (lambda: CarrierMap(2, 2, (0, 2)), OutOfCarrierError),
+    "CarrierMap.then": (lambda: SHORT_MAP.then(IDENTITY3), SizeMismatchError),
+    "least_factorization": (lambda: least_factorization(Z3, SHORT_MAP), SizeMismatchError),
+    "greatest_factorization": (lambda: greatest_factorization(Z3, SHORT_MAP), SizeMismatchError),
+    "enumerate_factorizations": (lambda: enumerate_factorizations(Z3, SHORT_MAP), SizeMismatchError),
+    "is_factorization": (
+        lambda: is_factorization(Z3, SHORT_MAP, greatest_factorization(Z3, IDENTITY3)),
+        SizeMismatchError,
+    ),
+    "precedes across bases": (
+        lambda: precedes(greatest_factorization(Z3, IDENTITY3), greatest_factorization(cyclic_group(2), SHORT_MAP)),
+        MismatchedBaseError,
+    ),
+    "precedes across maps": (
+        lambda: precedes(
+            greatest_factorization(Z3, IDENTITY3), greatest_factorization(Z3, CarrierMap(3, 3, (1, 2, 0)))
+        ),
+        MismatchedBaseError,
+    ),
+    "precedes with g2 not onto": (
+        lambda: precedes(
+            greatest_factorization(Z3, IDENTITY3),
+            Factorization(CarrierMap(3, 4, (0, 1, 2)), cyclic_group(4), CarrierMap(4, 3, (0, 1, 2, 0)), 3),
+        ),
+        MismatchedBaseError,
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error", BAD_ARGUMENTS.values(), ids=BAD_ARGUMENTS)
+def test_bad_arguments_raise_their_typed_error(call, error):
+    with pytest.raises(UAlgError) as info:
+        call()
+    assert type(info.value) is error
