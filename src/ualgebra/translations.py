@@ -7,7 +7,9 @@ carrier.  Members carry the word (sequence of principal-translation
 descriptors) that produced them, applied left to right.
 """
 
+from array import array
 from dataclasses import dataclass
+from itertools import repeat
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -70,7 +72,9 @@ class SemigroupTree(NamedTuple):
 
     Member 0 is the identity.  Every other member i is member ``parent[i]``
     followed by ``generators[letter[i]]``, with ``parent[i] < i``, so its
-    word is its parent's word plus one letter (Froidure and Pin, 1997).
+    word is its parent's word plus one letter.  Members are in shortlex
+    order of their words, and each word is the shortlex-least one of its
+    table (Froidure and Pin, 1997).
     """
 
     generators: list[Translation]
@@ -90,9 +94,21 @@ class SemigroupTree(NamedTuple):
 def semigroup_tree(X, cap: int = SEMIGROUP_HARD_CAP) -> SemigroupTree:
     """Closure of the principal translations and the identity under composition.
 
-    Breadth-first by word length with lexicographic tie-breaking, so every
-    member carries a shortest witness word and the output order is
-    deterministic.  Deduplication is by table; words are provenance only.
+    Breadth-first: each member, in order, is followed by generators in
+    order, and a product not seen before becomes the next member.  So the
+    members come in shortlex order of their words, each word is the
+    shortlex-least one of its table, and the output order is deterministic.
+    Deduplication is by table; words are provenance only.
+
+    The identity is followed by every generator, any other member i only by
+    those that the suffix rule of Froidure and Pin leaves.  Write i's word
+    as a·v with first letter a: v is shortlex-least too, so it is a member,
+    suffix(i), that came before i.  If suffix(i) followed by generator j
+    made no new member, v·j has a shortlex-smaller word u, so i·j = a·u has
+    a word smaller than a·v·j and is already a member: it is not composed.
+    The members that one member made form a contiguous run, so the run
+    starts and the suffixes, two arrays of 4-byte ints, are all the
+    bookkeeping; ``seen`` is freed before the tables become tuples.
 
     For k <= 256 the closure composes in ``bytes``: each generator becomes
     the 256-byte map ``bytes(table) + bytes(range(k, 256))``, and member t
@@ -112,24 +128,33 @@ def semigroup_tree(X, cap: int = SEMIGROUP_HARD_CAP) -> SemigroupTree:
         tables = [tuple(range(k))]
     parent, letter = [-1], [-1]
     seen = {tables[0]}
-    start = 0
-    while start < len(tables):  # members start..end-1 are the words of one length
-        end = len(tables)
-        for i in range(start, end):
-            t = tables[i]
-            pick = t.translate if k <= 256 else itemgetter(*t)  # pick(g) is member i followed by g
-            for j, table in enumerate(map(pick, gen_maps)):
-                if table in seen:
-                    continue
-                if len(tables) >= cap:
-                    raise SizeCapError(
-                        f"{len(tables) + 1} translations found, cap {cap} (--max-semigroup)"
-                    )
-                seen.add(table)
-                tables.append(table)
-                parent.append(i)
-                letter.append(j)
-        start = end
+    # C ints: a closure of 2**31 members would not fit in memory anyway
+    suffix = array("i", [0])  # the identity's own entry is never read
+    bounds = array("i")  # members bounds[s] .. bounds[s + 1] - 1 are the ones member s made
+    tries = zip(repeat(0), range(len(gen_maps)))  # (suffix of the product, letter) for the identity
+    for i, t in enumerate(tables):  # the list grows while it is walked
+        bounds.append(len(tables))
+        if i:
+            s = suffix[i]
+            lo, hi = bounds[s], bounds[s + 1]
+            if lo == hi:
+                continue  # suffix(i) made no member, so neither does i
+            tries = zip(range(lo, hi), letter[lo:hi])
+        pick = t.translate if k <= 256 else itemgetter(*t)  # pick(g) is member i followed by g
+        for c, j in tries:
+            table = pick(gen_maps[j])
+            if table in seen:
+                continue
+            if len(tables) >= cap:
+                raise SizeCapError(
+                    f"{len(tables) + 1} translations found, cap {cap} (--max-semigroup)"
+                )
+            seen.add(table)
+            tables.append(table)
+            parent.append(i)
+            letter.append(j)
+            suffix.append(c)
+    del seen
     return SemigroupTree(generators, list(map(tuple, tables)), parent, letter)
 
 

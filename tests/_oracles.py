@@ -5,10 +5,13 @@ deliberately sharing no algorithmic route with the library: set partitions
 are enumerated recursively (not as restricted-growth strings), semigroup,
 clone and subalgebra closures run as repeated full passes over raw tables, the
 largest-congruence oracle filters the whole congruence lattice, and terms
-are evaluated one assignment at a time by recursion.  Five are exceptions,
+are evaluated one assignment at a time by recursion.  Six are exceptions,
 routes the library used before, kept as the references it must reproduce
 exactly: ``frozen_word_semigroup``, the closure loop that the translation
 semigroup used before it kept its members as a tree;
+``frozen_semigroup_tree``, the level loop that built that tree by following
+every member with every generator, before the suffix rule skipped the
+products already known to be members;
 ``naive_translation_witness``, the same-block pair scan that the
 translation congruence test used before it compared each element with its
 block's least member; ``frozen_flatten``, the depth-first table check
@@ -27,6 +30,7 @@ from ualgebra import Constant, FiniteAlgebra, Signature, Translation, Variable, 
 from ualgebra.check import Check
 from ualgebra.algebra import TABLE_CAP
 from ualgebra.errors import ArityMismatchError, FormatError, OutOfCarrierError, SizeCapError, SizeMismatchError
+from ualgebra.translations import SemigroupTree
 
 
 def naive_partitions(n):
@@ -139,6 +143,42 @@ def frozen_word_semigroup(X, cap):
                 nxt.append(new)
         frontier = nxt
     return members
+
+
+def frozen_semigroup_tree(X, cap):
+    """``semigroup_tree`` as a level loop that follows every member with every
+    generator: the members start..end-1 of one word length make the next."""
+    if cap < 1:
+        raise SizeCapError(f"1 translations found, cap {cap} (--max-semigroup)")
+    k = X.size
+    generators = principal_translations(X)
+    if k <= 256:
+        gen_maps = [bytes(g.table) + bytes(range(k, 256)) for g in generators]
+        tables = [bytes(range(k))]
+    else:
+        gen_maps = [g.table for g in generators]
+        tables = [tuple(range(k))]
+    parent, letter = [-1], [-1]
+    seen = {tables[0]}
+    start = 0
+    while start < len(tables):  # members start..end-1 are the words of one length
+        end = len(tables)
+        for i in range(start, end):
+            t = tables[i]
+            pick = t.translate if k <= 256 else itemgetter(*t)  # pick(g) is member i followed by g
+            for j, table in enumerate(map(pick, gen_maps)):
+                if table in seen:
+                    continue
+                if len(tables) >= cap:
+                    raise SizeCapError(
+                        f"{len(tables) + 1} translations found, cap {cap} (--max-semigroup)"
+                    )
+                seen.add(table)
+                tables.append(table)
+                parent.append(i)
+                letter.append(j)
+        start = end
+    return SemigroupTree(generators, list(map(tuple, tables)), parent, letter)
 
 
 def naive_translation_witness(X, part):

@@ -1,8 +1,12 @@
+import hashlib
 import json
 import random
 import re
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ualgebra import (
     FiniteAlgebra,
@@ -19,10 +23,11 @@ from ualgebra import (
 )
 from ualgebra.cli import main
 from ualgebra.errors import ArityMismatchError, OutOfCarrierError, SizeCapError, UAlgError
-from ualgebra.translations import PrincipalDescriptor, semigroup_tree
+from ualgebra.translations import SEMIGROUP_HARD_CAP, PrincipalDescriptor, semigroup_tree
 
 from _oracles import (
     SIGNATURES,
+    frozen_semigroup_tree,
     frozen_word_semigroup,
     naive_principal_tables,
     naive_semigroup_tables,
@@ -282,3 +287,102 @@ def test_cap_one_admits_only_the_identity():
     assert semigroup_tree(CONSTANTS_ONLY, cap=1).tables == [(0, 1, 2)]
     with pytest.raises(SizeCapError, match="2 translations found, cap 1"):
         semigroup_tree(Z2, cap=1)
+
+
+def _random_binary(k):
+    """The binary operation that ``random.Random(k)`` draws on k elements."""
+    rng = random.Random(k)
+    return FiniteAlgebra(Signature([("f", 2)]), k, {"f": tuple(rng.randrange(k) for _ in range(k * k))})
+
+
+def _assert_tree_matches_the_level_loop(X):
+    """The suffix rule adds the members, parents and letters that following every
+    member with every generator adds, and fails the same way one member short."""
+    expected = frozen_semigroup_tree(X, SEMIGROUP_HARD_CAP)
+    size = len(expected.tables)
+    got = semigroup_tree(X, cap=size)
+    assert (got.tables, got.parent, got.letter) == (expected.tables, expected.parent, expected.letter)
+    assert got.generators == expected.generators
+    with pytest.raises(SizeCapError) as refused:
+        frozen_semigroup_tree(X, size - 1)
+    with pytest.raises(SizeCapError) as got_refused:
+        semigroup_tree(X, cap=size - 1)
+    message = f"{size} translations found, cap {size - 1} (--max-semigroup)"
+    assert str(got_refused.value) == str(refused.value) == message
+
+
+def test_suffix_rule_matches_the_level_loop_on_the_differential_algebras():
+    for X in _differential_algebras():
+        _assert_tree_matches_the_level_loop(X)
+
+
+@pytest.mark.parametrize("k", BOUNDARY_SIZES)
+def test_suffix_rule_matches_the_level_loop_at_the_byte_boundary(k):
+    for X in _boundary_algebras(k):
+        _assert_tree_matches_the_level_loop(X)
+
+
+MULTIPLICATION_MOD_6 = FiniteAlgebra(Signature([("m", 2)]), 6, {"m": tuple(x * y % 6 for x in range(6) for y in range(6))})
+
+
+@pytest.mark.parametrize(
+    "X", [_random_binary(6), MULTIPLICATION_MOD_6, CONSTANTS_ONLY], ids=["Random(6)", "monoid", "constants-only"]
+)
+def test_suffix_rule_matches_the_level_loop(X):
+    _assert_tree_matches_the_level_loop(X)
+
+
+def test_the_identity_generator_of_a_monoid_makes_no_member():
+    tree = semigroup_tree(MULTIPLICATION_MOD_6)
+    one = [g.table for g in tree.generators].index((0, 1, 2, 3, 4, 5))  # multiplication by 1
+    assert one not in tree.letter
+
+
+@st.composite
+def unary_binary_algebras(draw):
+    """A unary and a binary operation on k <= 5 elements."""
+    k = draw(st.integers(1, 5))
+    unary = draw(st.lists(st.integers(0, k - 1), min_size=k, max_size=k))
+    binary = draw(st.lists(st.integers(0, k - 1), min_size=k * k, max_size=k * k))
+    return FiniteAlgebra(Signature([("u", 1), ("f", 2)]), k, {"u": unary, "f": binary})
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(unary_binary_algebras())
+def test_suffix_rule_matches_the_level_loop_on_drawn_algebras(X):
+    _assert_tree_matches_the_level_loop(X)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_suffix_rule_allocates_no_more_than_the_level_loop():
+    X = _random_binary(6)
+    assert _traced_peak(lambda: semigroup_tree(X)) <= _traced_peak(lambda: frozen_semigroup_tree(X, SEMIGROUP_HARD_CAP))
+
+
+# (k, signature, seed of the tables, stdout length, sha256 of stdout) of
+# `ualg translations algebra.json --json`, recorded before the closure took up
+# the suffix rule: 1,695, 20,392 and 14,929 members.
+_PINNED_TRANSLATIONS = [
+    (5, [("f", 2)], 1, 268475, "7c782723336e547acbc065865c63c34b8308894e37be568271e9ec15744fd610"),
+    (6, [("f", 2), ("u", 1), ("c", 0)], 2, 3579584, "a4e171710025eefc87474cc2f7f67765691822d3b515f7ee047b64e40459d878"),
+    (6, [("f", 2), ("u", 1)], 3, 2727540, "e54466748634abd5d72498ad0a5c9a984308c814e01d12bc837e982de270a5eb"),
+]
+
+
+@pytest.mark.parametrize("k, sig, seed, length, digest", _PINNED_TRANSLATIONS)
+def test_large_translations_listings_are_pinned(k, sig, seed, length, digest, tmp_path, monkeypatch, capsys):
+    rng = random.Random(seed)
+    ops = {name: rng.randrange(k) if a == 0 else tuple(rng.randrange(k) for _ in range(k**a)) for name, a in sig}
+    monkeypatch.chdir(tmp_path)  # the listing names the file as given
+    (tmp_path / "algebra.json").write_text(json.dumps(FiniteAlgebra(Signature(sig), k, ops).to_json_dict()))
+    assert main(["translations", "algebra.json", "--json"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert (len(out), hashlib.sha256(out).hexdigest()) == (length, digest)
