@@ -16,11 +16,13 @@ Any other, ``-h`` and every usage error included, goes to the argparse
 parser, so help and usage errors are argparse's, byte for byte.
 
 Exit codes: 0 success/PASS, 1 semantic FAIL, 2 usage or parse error,
-3 cap exceeded.
+3 cap exceeded, 141 stdout closed by its reader (128 + SIGPIPE).
 """
 
 import json
+import os
 import sys
+from collections.abc import Callable, Iterable
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -312,7 +314,7 @@ def cmd_gen_congruence(args) -> tuple[int, dict, list[str]]:
     return 0, payload, [result.format()]
 
 
-def cmd_translations(args) -> tuple[int, dict, list[str]]:
+def cmd_translations(args) -> tuple[int, dict, Iterable[str]]:
     X = _algebra(args.algebra)
     tree = semigroup_tree(X, cap=args.max_semigroup)
     words = tree.format_words()
@@ -324,9 +326,8 @@ def cmd_translations(args) -> tuple[int, dict, list[str]]:
     }
     if args.json:
         return 0, payload, []
-    human = [f"|S1| = {len(tree.generators)}", f"|S| = {len(words)}"]
-    human += [f"{word} ⇒ [{','.join(map(str, table))}]" for word, table in zip(words, tree.tables)]
-    return 0, payload, human
+    lines = (f"{word} ⇒ [{','.join(map(str, table))}]" for word, table in zip(words, tree.tables))
+    return 0, payload, chain([f"|S1| = {len(tree.generators)}", f"|S| = {len(words)}"], lines)
 
 
 def cmd_malcev(args) -> tuple[int, dict, list[str]]:
@@ -568,11 +569,15 @@ class Rows(NamedTuple):
     """A JSON array of objects held column-wise: row i is ``{key: columns[key][i]}``.
 
     Every column has one entry per row, and holds only str or only tuples
-    of int.  ``_dumps`` writes it; ``json.dumps`` would take it for a list
-    holding the dict of columns.
+    of int.  ``_write_json`` writes it; ``json.dumps`` would take it for a
+    list holding the dict of columns.
     """
 
     columns: dict[str, list]
+
+
+# Rows of a ``Rows``, or ints of an all-int list, per ``write``: it bounds what the writer holds.
+_BLOCK = 4096
 
 
 def _column_texts(column: list, newline: str) -> list[str]:
@@ -590,51 +595,57 @@ def _column_texts(column: list, newline: str) -> list[str]:
     raise TypeError("a Rows column must hold only str or only tuples of int")
 
 
-def _write_json(value, newline: str, out: list[str]) -> None:
-    """Append to ``out`` the text ``json.dumps(value, indent=2, sort_keys=True)``
-    gives, nested one level below the indent that ``newline`` carries.
+def _write_json(value, newline: str, write: Callable[[str], object]) -> None:
+    """Pass to ``write``, piece by piece, the text ``json.dumps(value, indent=2,
+    sort_keys=True)`` gives, nested one level below the indent that ``newline``
+    carries.
 
     CPython's C encoder does not take ``indent``, so ``json.dumps`` falls
     back to its pure-Python one; this writer does less per value.  It takes
     only what payloads hold: str-keyed dicts, lists, str, int, bool, None
-    and ``Rows``.  A ``Rows`` is written row by row as the array of objects
-    it stands for: each key's header (separator, indent and ``"key": ``) is
-    built once, and each row joins the headers with its entries' texts.
+    and ``Rows``.  A ``Rows`` is written as the array of objects it stands
+    for, ``_BLOCK`` rows per ``write``: each key's header (separator, indent
+    and ``"key": ``) is built once, and each row joins the headers with its
+    entries' texts.  An all-int list is written ``_BLOCK`` ints per
+    ``write``, so no listing is ever held as one string.
     """
     kind = type(value)
     if kind is str:
-        out.append(encode_basestring_ascii(value))
+        write(encode_basestring_ascii(value))
     elif kind is int:
-        out.append(int.__repr__(value))
+        write(int.__repr__(value))
     elif value is None or kind is bool:
-        out.append("null" if value is None else "true" if value else "false")
+        write("null" if value is None else "true" if value else "false")
     elif kind is list:
         if not value:
-            out.append("[]")
+            write("[]")
             return
         inner = newline + "  "
-        if all(type(x) is int for x in value):
-            out.append("[" + inner + ("," + inner).join(map(int.__repr__, value)) + newline + "]")
-            return
         sep = "[" + inner
+        if all(type(x) is int for x in value):
+            for start in range(0, len(value), _BLOCK):
+                write(sep + ("," + inner).join(map(int.__repr__, value[start : start + _BLOCK])))
+                sep = "," + inner
+            write(newline + "]")
+            return
         for item in value:
-            out.append(sep)
-            _write_json(item, inner, out)
+            write(sep)
+            _write_json(item, inner, write)
             sep = "," + inner
-        out.append(newline + "]")
+        write(newline + "]")
     elif kind is dict:
         if not value:
-            out.append("{}")
+            write("{}")
             return
         if not all(type(key) is str for key in value):
             raise TypeError("JSON object keys must be str")
         inner = newline + "  "
         sep = "{" + inner
         for key in sorted(value):
-            out.append(sep + encode_basestring_ascii(key) + ": ")
-            _write_json(value[key], inner, out)
+            write(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(value[key], inner, write)
             sep = "," + inner
-        out.append(newline + "}")
+        write(newline + "}")
     elif kind is Rows:
         columns = value.columns
         if not all(type(key) is str for key in columns):
@@ -642,15 +653,22 @@ def _write_json(value, newline: str, out: list[str]) -> None:
         if len({len(column) for column in columns.values()}) > 1:
             raise ValueError("Rows columns differ in length")
         if not columns or not next(iter(columns.values())):
-            out.append("[]")
+            write("[]")
             return
         inner, field = newline + "  ", newline + "    "
-        parts, sep = [], "{" + field
-        for key in sorted(columns):
-            parts += [repeat(sep + encode_basestring_ascii(key) + ": "), _column_texts(columns[key], field)]
+        keys, headers, sep = sorted(columns), [], "{" + field
+        for key in keys:
+            headers.append(repeat(sep + encode_basestring_ascii(key) + ": "))
             sep = "," + field
-        parts.append(repeat(inner + "}"))
-        out.append("[" + inner + ("," + inner).join(map("".join, zip(*parts))) + newline + "]")
+        sep = "[" + inner
+        for start in range(0, len(columns[keys[0]]), _BLOCK):
+            parts = []
+            for key, header in zip(keys, headers):
+                parts += [header, _column_texts(columns[key][start : start + _BLOCK], field)]
+            parts.append(repeat(inner + "}"))
+            write(sep + ("," + inner).join(map("".join, zip(*parts))))
+            sep = "," + inner
+        write(newline + "]")
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
@@ -658,33 +676,44 @@ def _write_json(value, newline: str, out: list[str]) -> None:
 def _dumps(value) -> str:
     """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte."""
     out: list[str] = []
-    _write_json(value, "\n", out)
+    _write_json(value, "\n", out.append)
     return "".join(out)
 
 
-def _emit(as_json: bool, command: str, code: int, payload: dict, human: list[str]) -> None:
+def _emit(as_json: bool, command: str, code: int, payload: dict, human: Iterable[str]) -> None:
+    """Write the command's document (``--json``) or its human lines to stdout as they are produced."""
+    write = sys.stdout.write
     if as_json:
         doc = {"schema": SCHEMA, "command": command, "exit_code": code}
         doc.update(payload)
-        sys.stdout.write(_dumps(doc) + "\n")
+        _write_json(doc, "\n", write)
+        write("\n")
     else:
         for line in human:
-            sys.stdout.write(line + "\n")
+            write(line + "\n")
+    sys.stdout.flush()  # a closed pipe raises here, inside main's guard, not at shutdown
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _plain_args(argv) or build_parser().parse_args(argv)
     handler = _COMMANDS[args.command][0]
+    message = ""
     try:
         code, payload, human = handler(args)
     except (UAlgError, ValueError, OSError) as exc:
         code = 3 if isinstance(exc, SizeCapError) else 2
         kind = "SizeCapExceeded" if code == 3 else type(exc).__name__
-        _emit(args.json, args.command, code, {"error": {"type": kind, "message": str(exc)}}, [])
-        sys.stderr.write(f"error: {exc}\n")
-        return code
-    _emit(args.json, args.command, code, payload, human)
+        payload, human, message = {"error": {"type": kind, "message": str(exc)}}, [], f"error: {exc}\n"
+    try:
+        _emit(args.json, args.command, code, payload, human)
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at os.devnull, as the Python docs
+        # advise for SIGPIPE, so that the flush at shutdown cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
+    if message:
+        sys.stderr.write(message)
     return code
 
 

@@ -500,6 +500,21 @@ def test_ualg_runs_as_a_process():
     assert done.stderr.endswith("error: the following arguments are required: algebra, map\n")
 
 
+@pytest.mark.parametrize("buffered", [True, False])
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+def test_a_closed_stdout_exits_141_without_a_traceback(mode, buffered):
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before the first write
+    try:
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env.update(PYTHONPATH=str(ROOT / "src"), **({} if buffered else {"PYTHONUNBUFFERED": "1"}))
+        argv = [sys.executable, "-m", "ualgebra.cli", "translations", "Sinf3", *mode]
+        done = subprocess.run(argv, stdout=write, stderr=subprocess.PIPE, text=True, env=env, cwd=ROOT)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (141, "")
+
+
 def test_malcev_refuses_sizes_whose_table_exceeds_the_table_limit(capsys):
     tracemalloc.start()
     try:

@@ -3,10 +3,14 @@
 ``cli._dumps`` must give the same bytes on every document a command emits,
 its error object included, and on generated documents of the same kinds
 of value.  A ``cli.Rows`` must print as the array of objects it stands for.
-It raises ``TypeError`` on any other kind.
+It raises ``TypeError`` on any other kind.  ``cli._emit`` writes a document
+in blocks of ``cli._BLOCK`` rows or ints; the blocks must join to the same
+bytes, and its peak memory must not grow with the length of a listing.
 """
 
 import json
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -57,22 +61,24 @@ def test_every_command_is_covered():
 @pytest.mark.parametrize("command", sorted(CALLS))
 def test_command_documents_match_json_dumps(command, monkeypatch, capsys):
     documents = []
-    write = cli._dumps
+    write_json = cli._write_json
 
-    def spy(value):
-        documents.append(value)
-        return write(value)
+    def spy(value, newline, write):
+        if newline == "\n":  # a whole document, not a value nested in one
+            documents.append(value)
+        write_json(value, newline, write)
 
-    monkeypatch.setattr(cli, "_dumps", spy)
+    monkeypatch.setattr(cli, "_write_json", spy)
     codes = [run_cli([command, *argv, "--json"])[0] for argv in CALLS[command]]
     if command == "fixtures":  # it cannot fail; emit its error object as ``main`` would
         cli._emit(True, command, 2, {"error": {"type": "UAlgError", "message": "\u2218 \x07"}}, [])
         codes.append(2)
     capsys.readouterr()
+    monkeypatch.undo()
     assert codes[-1] in (2, 3)
     assert [("error" in doc) for doc in documents] == [code >= 2 for code in codes]
     for doc in documents:
-        assert write(doc) == json.dumps(expand(doc), indent=2, sort_keys=True)
+        assert cli._dumps(doc) == json.dumps(expand(doc), indent=2, sort_keys=True)
 
 
 # Large ints, control characters and non-ASCII text, and bools inside int lists.
@@ -180,3 +186,59 @@ def test_translations_output_matches_the_member_dicts(tmp_path):
         lines = [f"|S1| = {s1_size}", f"|S| = {len(members)}"]
         lines += [f"{t.format_word()} ⇒ [{','.join(str(v) for v in t.table)}]" for t in members]
         assert run_cli(["translations", argument]) == (0, "".join(line + "\n" for line in lines))
+
+
+def _emitted(doc, capsys):
+    """What ``cli._emit`` writes for ``doc`` in ``--json`` mode."""
+    capsys.readouterr()
+    cli._emit(True, "translations", 0, doc, [])
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("length", [cli._BLOCK - 1, cli._BLOCK, cli._BLOCK + 1, 2 * cli._BLOCK + 1])
+def test_emitted_blocks_join_to_json_dumps(length, capsys):
+    words = [f"w{i}\u2218" * (i % 3) for i in range(length)]
+    tables = [tuple(range(i % 4)) for i in range(length)]  # every fourth is the empty tuple
+    doc = {
+        "members": cli.Rows({"word": words, "table": tables}),
+        "tables": [list(range(-1, length - 1)), [True] * (length % 3)],
+        "map": list(range(length)),
+    }
+    expected = expand({"schema": 1, "command": "translations", "exit_code": 0, **doc})
+    assert _emitted(doc, capsys) == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
+class _CountingSink:
+    """A stdout that keeps only the number of characters written to it."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+
+    def flush(self):
+        pass
+
+
+def _emit_peak(rows, monkeypatch):
+    """tracemalloc's peak over ``_emit`` of a ``translations`` listing of ``rows`` members."""
+    words = [f"m@{i % 3}({i % 7})\u2218i" for i in range(rows)]
+    tables = [tuple((i + j) % 1000 for j in range(6)) for i in range(rows)]
+    payload = {"members": cli.Rows({"table": tables, "word": words})}
+    sink = _CountingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        cli._emit(True, "translations", 0, payload, [])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        monkeypatch.undo()
+    assert sink.chars > 100 * rows
+    return peak
+
+
+def test_emit_peak_memory_does_not_grow_with_the_listing(monkeypatch):
+    small, large = _emit_peak(8192, monkeypatch), _emit_peak(32768, monkeypatch)
+    assert large <= 1.25 * small, (small, large)
