@@ -30,6 +30,7 @@ from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
 from .check import Check
 from .congruences import is_congruence_via_translations
 from .errors import (
+    ArgumentError,
     ArityMismatchError,
     FormatError,
     NotACongruenceError,
@@ -568,10 +569,10 @@ def diagonal_hom(
     the family separates points).
     """
     if not maps or len(maps) != len(targets):
-        raise ValueError("need one homomorphism per target, at least one")
+        raise ArgumentError("need one homomorphism per target, at least one")
     for phi, Y in zip(maps, targets):
         if not is_homomorphism(phi, X, Y):
-            raise ValueError("diagonal_hom requires homomorphisms")
+            raise ArgumentError("diagonal_hom requires homomorphisms")
     prod, _ = product(list(targets))
     values = _encode([Y.size for Y in targets], [phi.values for phi in maps])
     diag = CarrierMap(X.size, prod.size, tuple(values))

@@ -324,8 +324,6 @@ def cmd_translations(args) -> tuple[int, dict, Iterable[str]]:
         "s_size": len(words),
         "members": Rows({"table": tree.tables, "word": words}),
     }
-    if args.json:
-        return 0, payload, []
     lines = (f"{word} ⇒ [{','.join(map(str, table))}]" for word, table in zip(words, tree.tables))
     return 0, payload, chain([f"|S1| = {len(tree.generators)}", f"|S| = {len(words)}"], lines)
 

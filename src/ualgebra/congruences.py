@@ -75,8 +75,8 @@ def is_congruence_via_translations(X, part: Partition) -> Check:
 def congruence_generated(X, pairs: Iterable[tuple[int, int]]) -> Partition:
     """Least congruence containing the given pairs.
 
-    Union-find with path compression; every merge is pushed through each
-    principal translation until saturated.
+    Block labels, the smaller block relabelled on each merge; every merge is
+    pushed through each principal translation until saturated.
     """
     pairs = list(pairs)
     for a, b in pairs:

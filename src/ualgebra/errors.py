@@ -19,6 +19,10 @@ class FormatError(UAlgError, ValueError):
     """Malformed algebra or signature data; JSON booleans are not integers."""
 
 
+class ArgumentError(UAlgError, ValueError):
+    """A library function got an argument outside its domain."""
+
+
 class DuplicateSymbolError(UAlgError):
     pass
 

@@ -4,6 +4,7 @@ import itertools
 from functools import lru_cache, partial
 
 from .algebra import FiniteAlgebra
+from .errors import ArgumentError, FormatError
 from .signature import Signature
 from .terms import Term, parse_term
 
@@ -31,7 +32,7 @@ def group_axioms() -> tuple[tuple[Term, Term], ...]:
 def cyclic_group(n: int) -> FiniteAlgebra:
     """The cyclic group of order n, written additively over m/i/e."""
     if n < 1:
-        raise ValueError("group order must be positive")
+        raise ArgumentError("group order must be positive")
     return FiniteAlgebra(
         GROUP_SIG,
         n,
@@ -73,7 +74,7 @@ def adjoined_infinity_monoid(n: int) -> FiniteAlgebra:
     group signature but not the inverse axiom (it fails at inf).
     """
     if n < 1:
-        raise ValueError("n must be positive")
+        raise ArgumentError("n must be positive")
     inf = n
     size = n + 1
 
@@ -103,7 +104,7 @@ def malcev_algebra_from(table) -> FiniteAlgebra:
     else:
         size = round(len(table) ** (1 / 3))
         if size**3 != len(table):
-            raise ValueError(f"flat ternary table length {len(table)} is not a cube")
+            raise FormatError(f"flat ternary table length {len(table)} is not a cube")
     return FiniteAlgebra(MALCEV_SIG, size, {"mu": table})
 
 

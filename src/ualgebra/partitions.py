@@ -55,12 +55,7 @@ class Partition:
         """True iff every block of ``self`` lies inside a block of ``other``."""
         if other.size != self.size:
             raise SizeMismatchError(f"partition sizes differ: {self.size} vs {other.size}")
-        image: dict[int, int] = {}
-        for x in range(self.size):
-            b = self._block_of[x]
-            if image.setdefault(b, other._block_of[x]) != other._block_of[x]:
-                return False
-        return True
+        return len(set(zip(self._block_of, other._block_of))) == self._num_blocks  # each block meets one of other
 
     def meet(self, other: "Partition") -> "Partition":
         """Common refinement."""
@@ -114,7 +109,7 @@ class Partition:
 
     @classmethod
     def from_pairs(cls, size: int, pairs: Iterable[tuple[int, int]]) -> "Partition":
-        """Equivalence closure of the given pairs (union-find)."""
+        """Equivalence closure of the given pairs (merged block labels)."""
         pairs = list(pairs)
         for a, b in pairs:
             if not (0 <= a < size and 0 <= b < size):
@@ -144,38 +139,36 @@ def _closure(
 ) -> Partition:
     """Least equivalence containing ``pairs`` and closed under every self-map in ``tables``.
 
-    Union-find with path compression.  Each merge of a and b is queued, and
-    a queued pair merges (t[a], t[b]) for every table t.  Pairs must lie in
-    range(size).
+    ``block[x]`` names x's block by a member, and ``members[p]`` lists block
+    p once it has two or more.  ``union`` merges two distinct blocks by
+    relabelling the smaller, so each x at most log2(size) times.  Each
+    merge of a and b is queued, and a queued pair merges (t[a], t[b]) for
+    every table t.  Pairs must lie in range(size).
     """
-    parent = list(range(size))
-    blocks = size
+    block = list(range(size))
+    members: list = [None] * size
 
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
+    def union(a: int, b: int) -> int:
+        keep, drop = block[a], block[b]
+        kept, dropped = members[keep] or [keep], members[drop] or [drop]
+        if len(kept) < len(dropped):
+            keep, drop, kept, dropped = drop, keep, dropped, kept
+        for x in dropped:
+            block[x] = keep
+        kept += dropped
+        members[keep], members[drop] = kept, None
+        return len(kept)
 
-    def union(a: int, b: int) -> bool:
-        nonlocal blocks
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return False
-        parent[rb] = ra
-        blocks -= 1
-        return True
-
-    merged = deque((a, b) for a, b in pairs if union(a, b))
-    while merged and blocks > 1:  # one block is closed under everything
+    merged = deque((a, b) for a, b in pairs if block[a] != block[b] and union(a, b))
+    while merged:
         a, b = merged.popleft()
         for table in tables:
             x, y = table[a], table[b]
-            if union(x, y):
+            if block[x] != block[y]:
+                if union(x, y) == size:  # one block is closed under everything
+                    return Partition(block)
                 merged.append((x, y))
-    return Partition([find(x) for x in range(size)])
+    return Partition(block)
 
 
 def all_partitions(n: int) -> Iterator[Partition]:

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
 from .errors import (
+    ArgumentError,
     ArityMismatchError,
     OutOfCarrierError,
     ParseError,
@@ -36,7 +37,7 @@ class Variable:
 
     def __post_init__(self):
         if not isinstance(self.index, int) or self.index < 1:
-            raise ValueError(f"variable index must be a positive integer, got {self.index!r}")
+            raise ArgumentError(f"variable index must be a positive integer, got {self.index!r}")
 
 
 @dataclass(frozen=True)

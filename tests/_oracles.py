@@ -5,7 +5,7 @@ deliberately sharing no algorithmic route with the library: set partitions
 are enumerated recursively (not as restricted-growth strings), semigroup,
 clone and subalgebra closures run as repeated full passes over raw tables, the
 largest-congruence oracle filters the whole congruence lattice, and terms
-are evaluated one assignment at a time by recursion.  Six are exceptions,
+are evaluated one assignment at a time by recursion.  Seven are exceptions,
 routes the library used before, kept as the references it must reproduce
 exactly: ``frozen_word_semigroup``, the closure loop that the translation
 semigroup used before it kept its members as a tree;
@@ -17,16 +17,21 @@ translation congruence test used before it compared each element with its
 block's least member; ``frozen_flatten``, the depth-first table check
 that algebra construction used before it checked one nesting level at a
 time; ``frozen_generated``, the tuple-table closure loop that generated
-subalgebras and the clone used before they composed in bytes; and
+subalgebras and the clone used before they composed in bytes;
 ``frozen_apply_tables``, the row-major tuple route that applied every
-operation before small ones were applied in bytes.
+operation before small ones were applied in bytes; and ``frozen_closure``,
+the union-find forest with path compression that generated every
+congruence, join and equivalence closure before the closure kept one block
+label per element.
 """
 
 import itertools
 import random
+from collections import deque
 from operator import itemgetter
+from typing import Iterable, Sequence
 
-from ualgebra import Constant, FiniteAlgebra, Signature, Translation, Variable, principal_translations
+from ualgebra import Constant, FiniteAlgebra, Partition, Signature, Translation, Variable, principal_translations
 from ualgebra.check import Check
 from ualgebra.algebra import TABLE_CAP
 from ualgebra.errors import ArityMismatchError, FormatError, OutOfCarrierError, SizeCapError, SizeMismatchError
@@ -521,3 +526,42 @@ def frozen_flatten(table, arity, size, symbol):
         if not 0 <= entry < size:
             raise OutOfCarrierError(f"table for '{symbol}' has entry {entry}, carrier size {size}")
     return tuple(flat)
+
+
+def frozen_closure(
+    size: int, pairs: Iterable[tuple[int, int]], tables: Sequence[Sequence[int]] = ()
+) -> Partition:
+    """Least equivalence containing ``pairs`` and closed under every self-map in ``tables``.
+
+    Union-find with path compression.  Each merge of a and b is queued, and
+    a queued pair merges (t[a], t[b]) for every table t.  Pairs must lie in
+    range(size).
+    """
+    parent = list(range(size))
+    blocks = size
+
+    def find(x: int) -> int:
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    def union(a: int, b: int) -> bool:
+        nonlocal blocks
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            return False
+        parent[rb] = ra
+        blocks -= 1
+        return True
+
+    merged = deque((a, b) for a, b in pairs if union(a, b))
+    while merged and blocks > 1:  # one block is closed under everything
+        a, b = merged.popleft()
+        for table in tables:
+            x, y = table[a], table[b]
+            if union(x, y):
+                merged.append((x, y))
+    return Partition([find(x) for x in range(size)])

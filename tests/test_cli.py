@@ -88,6 +88,36 @@ def test_eval():
     assert code == 0 and doc["value"] == 0
 
 
+UNKNOWN_SYMBOL_FILE = {"signature": [{"symbol": "f", "arity": 1}], "size": 2, "ops": {"f": [0, 1], "g": [1, 0]}}
+INPUT_ERRORS = {
+    "value outside the carrier": (["eval", "Z4", "v1", "v1=9"], "OutOfCarrierError", "v1 assigned 9, carrier size 4"),
+    "arguments without a comma": (
+        ["eval", "Z4", "m(v1 v2)", "v1=1,v2=2"],
+        "ParseError",
+        "expected ',' or ')', found 'v2' (at position 5)",
+    ),
+    "table for a symbol outside the signature": (
+        ["translations", "@"],
+        "UnknownSymbolError",
+        "tables for symbols not in signature: ['g']",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, kind, message", INPUT_ERRORS.values(), ids=INPUT_ERRORS)
+def test_input_errors_exit_2_in_json_and_text(argv, kind, message, tmp_path, capsys):
+    if argv[-1] == "@":  # an algebra file
+        path = tmp_path / "algebra.json"
+        path.write_text(json.dumps(UNKNOWN_SYMBOL_FILE))
+        argv = argv[:-1] + [str(path)]
+    assert main(argv + ["--json"]) == 2
+    out, err = capsys.readouterr()
+    assert json.loads(out)["error"] == {"type": kind, "message": message}
+    assert err == f"error: {message}\n"
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_hom_check():
     code, doc = run_json(["hom-check", "Z4", "Z2", "[0,1,0,1]"])
     assert code == 0 and doc["is_homomorphism"] is True

@@ -38,6 +38,14 @@ def test_refines():
     assert mid.refines(mid)
 
 
+def test_refines_agrees_with_block_containment():
+    parts = list(all_partitions(5))
+    for a in parts:
+        for b in parts:
+            inside = all(any(set(x) <= set(y) for y in b.blocks()) for x in a.blocks())
+            assert a.refines(b) is inside
+
+
 def test_meet_examples():
     a = Partition.parse("0,2|1,3")
     b = Partition.parse("0,1|2,3")

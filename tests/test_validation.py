@@ -21,14 +21,19 @@ from ualgebra import (
     FiniteAlgebra,
     Partition,
     Signature,
+    Variable,
+    adjoined_infinity_monoid,
+    all_partitions,
     congruence_generated,
     cyclic_group,
+    diagonal_hom,
     enumerate_factorizations,
     greatest_factorization,
     is_factorization,
     is_homomorphism,
     largest_congruence_below,
     least_factorization,
+    malcev_algebra_from,
     precedes,
     product,
     quotient,
@@ -37,6 +42,7 @@ from ualgebra import (
 from ualgebra.algebra import _flatten
 from ualgebra.congruences import is_congruence_direct, is_congruence_via_translations
 from ualgebra.errors import (
+    ArgumentError,
     ArityMismatchError,
     FormatError,
     MismatchedBaseError,
@@ -44,6 +50,7 @@ from ualgebra.errors import (
     PartitionError,
     SizeMismatchError,
     UAlgError,
+    UnknownSymbolError,
 )
 
 from _oracles import SIGNATURES, frozen_flatten, planted_algebra
@@ -242,3 +249,57 @@ def test_bad_arguments_raise_their_typed_error(call, error):
     with pytest.raises(UAlgError) as info:
         call()
     assert type(info.value) is error
+
+
+SHIFT3 = CarrierMap(3, 3, (1, 2, 0))  # x -> x + 1, a bijection but no homomorphism of Z3
+DOMAIN_ERRORS = {
+    "cyclic_group(0)": (lambda: cyclic_group(0), ArgumentError),
+    "adjoined_infinity_monoid(0)": (lambda: adjoined_infinity_monoid(0), ArgumentError),
+    "malcev_algebra_from, length not a cube": (lambda: malcev_algebra_from([0] * 5), FormatError),
+    "Variable(0)": (lambda: Variable(0), ArgumentError),
+    "diagonal_hom without maps": (lambda: diagonal_hom(Z3, [], []), ArgumentError),
+    "diagonal_hom of a non-homomorphism": (lambda: diagonal_hom(Z3, [Z3], [SHIFT3]), ArgumentError),
+}
+
+
+@pytest.mark.parametrize("call, error", DOMAIN_ERRORS.values(), ids=DOMAIN_ERRORS)
+def test_domain_errors_are_typed_and_still_value_errors(call, error):
+    with pytest.raises(UAlgError) as info:
+        call()
+    assert type(info.value) is error
+    assert isinstance(info.value, ValueError)
+
+
+def test_unknown_symbol_has_no_index():
+    with pytest.raises(UnknownSymbolError, match="unknown symbol 'g'"):
+        Z3.sig.index("g")
+
+
+def test_a_candidate_whose_maps_do_not_fit_is_no_factorization():
+    onto_two = CarrierMap(3, 2, (0, 1, 0))
+    verdict = is_factorization(Z3, onto_two, greatest_factorization(Z3, IDENTITY3))
+    assert not verdict and verdict.witness == "maps do not fit between X, Y, and Z"
+
+
+def test_precedes_fails_when_q_is_well_defined_but_no_homomorphism():
+    # g1 = x + 1 factors the identity through Z3 with h = x - 1; q = g1 is no homomorphism.
+    shifted = Factorization(SHIFT3, Z3, CarrierMap(3, 3, (2, 0, 1)), 3)
+    assert shifted.composed() == IDENTITY3
+    verdict = precedes(shifted, greatest_factorization(Z3, IDENTITY3))
+    assert not verdict and verdict.witness is None
+
+
+def test_empty_product_without_a_signature_is_the_trivial_algebra():
+    trivial, projections = product([])
+    assert (trivial.sig, trivial.size, projections) == (Signature([]), 1, [])
+
+
+def test_the_empty_carrier_has_one_partition():
+    assert list(all_partitions(0)) == [Partition(())]
+
+
+def test_a_nested_ternary_table_builds_the_same_algebra_as_a_flat_one():
+    flat = [(x - y + z) % 3 for x in range(3) for y in range(3) for z in range(3)]
+    nested = [[flat[9 * x + 3 * y : 9 * x + 3 * y + 3] for y in range(3)] for x in range(3)]
+    X = malcev_algebra_from(nested)
+    assert X.size == 3 and X == malcev_algebra_from(flat)
