@@ -566,31 +566,36 @@ def _plain_args(argv: list[str]) -> SimpleNamespace | None:
 class Rows(NamedTuple):
     """A JSON array of objects held column-wise: row i is ``{key: columns[key][i]}``.
 
-    Every column has one entry per row, and holds only str or only tuples
-    of int.  ``_write_json`` writes it; ``json.dumps`` would take it for a
-    list holding the dict of columns.
+    Every column has one entry per row, and holds only str, only tuples of
+    int, or only ``bytes``, whose entries are the ints 0-255 they hold.
+    ``_write_json`` writes it; ``json.dumps`` would take it for a list
+    holding the dict of columns.
     """
 
     columns: dict[str, list]
 
 
 # Rows of a ``Rows``, or ints of an all-int list, per ``write``: it bounds what the writer holds.
-_BLOCK = 4096
+_BLOCK = 256
 
 
 def _column_texts(column: list, newline: str) -> list[str]:
-    """The JSON text of each entry of a ``Rows`` column, at the indent ``newline`` carries."""
+    """The JSON text of each entry of a ``Rows`` column, at the indent ``newline`` carries.
+
+    An int-sequence entry of length n is formatted by one ``%`` template of
+    n ``%d`` fields, built once per length.
+    """
     kinds = set(map(type, column))
     if kinds <= {str}:
         return list(map(encode_basestring_ascii, column))
-    if kinds == {tuple} and set(map(type, chain.from_iterable(column))) <= {int}:
-        values = set(chain.from_iterable(column))
-        text = dict(zip(values, map(int.__repr__, values)))  # each distinct int formatted once
+    if kinds == {bytes} or kinds == {tuple} and set(map(type, chain.from_iterable(column))) <= {int}:
         inner = newline + "  "
-        opener, closer = "[" + inner, newline + "]"
-        joined = map(("," + inner).join, map(map, repeat(text.__getitem__), column))
-        return [opener + entries + closer if entries else "[]" for entries in joined]
-    raise TypeError("a Rows column must hold only str or only tuples of int")
+        templates = {
+            n: "[" + inner + ("," + inner).join(["%d"] * n) + newline + "]" if n else "[]"
+            for n in set(map(len, column))
+        }
+        return [templates[len(entry)] % tuple(entry) for entry in column]
+    raise TypeError("a Rows column must hold only str, only tuples of int or only bytes")
 
 
 def _write_json(value, newline: str, write: Callable[[str], object]) -> None:

@@ -166,8 +166,10 @@ def _closure(
             x, y = table[a], table[b]
             if block[x] != block[y]:
                 if union(x, y) == size:  # one block is closed under everything
+                    members.clear()
                     return Partition(block)
                 merged.append((x, y))
+    members.clear()  # freed before Partition copies block, so the two never peak together
     return Partition(block)
 
 

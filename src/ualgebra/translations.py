@@ -74,11 +74,12 @@ class SemigroupTree(NamedTuple):
     followed by ``generators[letter[i]]``, with ``parent[i] < i``, so its
     word is its parent's word plus one letter.  Members are in shortlex
     order of their words, and each word is the shortlex-least one of its
-    table (Froidure and Pin, 1997).
+    table (Froidure and Pin, 1997).  A table is ``bytes`` for k <= 256 and a
+    tuple above, the form the closure composes it in.
     """
 
     generators: list[Translation]
-    tables: list[tuple[int, ...]]
+    tables: list[bytes] | list[tuple[int, ...]]
     parent: list[int]
     letter: list[int]
 
@@ -108,12 +109,13 @@ def semigroup_tree(X, cap: int = SEMIGROUP_HARD_CAP) -> SemigroupTree:
     a word smaller than a·v·j and is already a member: it is not composed.
     The members that one member made form a contiguous run, so the run
     starts and the suffixes, two arrays of 4-byte ints, are all the
-    bookkeeping; ``seen`` is freed before the tables become tuples.
+    bookkeeping.
 
     For k <= 256 the closure composes in ``bytes``: each generator becomes
     the 256-byte map ``bytes(table) + bytes(range(k, 256))``, and member t
     followed by generator g is ``t.translate(g)``.  Larger carriers compose
-    tuples with ``itemgetter``.  The returned tables are tuples either way.
+    tuples with ``itemgetter``.  The tables are returned as composed, so
+    ``bytes`` up to k = 256 and tuples above.
     The identity counts against ``cap``, so cap 0 admits no member.
     """
     if cap < 1:
@@ -154,8 +156,7 @@ def semigroup_tree(X, cap: int = SEMIGROUP_HARD_CAP) -> SemigroupTree:
             parent.append(i)
             letter.append(j)
             suffix.append(c)
-    del seen
-    return SemigroupTree(generators, list(map(tuple, tables)), parent, letter)
+    return SemigroupTree(generators, tables, parent, letter)
 
 
 def translation_semigroup(X, cap: int = SEMIGROUP_HARD_CAP) -> list[Translation]:
@@ -164,7 +165,7 @@ def translation_semigroup(X, cap: int = SEMIGROUP_HARD_CAP) -> list[Translation]
     words = [()]
     for p, j in zip(tree.parent[1:], tree.letter[1:]):
         words.append(words[p] + tree.generators[j].word)
-    return [Translation(table, word) for table, word in zip(tree.tables, words)]
+    return [Translation(tuple(table), word) for table, word in zip(tree.tables, words)]
 
 
 def evaluate_word(X, word: tuple[PrincipalDescriptor, ...]) -> tuple[int, ...]:

@@ -27,6 +27,7 @@ from ualgebra import (
 from ualgebra.partitions import _closure
 
 from _oracles import SIGNATURES, frozen_closure, planted_algebra
+from test_translations import _traced_peak
 
 CHAIN = Signature([("u", 1)])
 
@@ -95,6 +96,16 @@ def test_unary_chain_matches_the_union_find(k):
         assert got == frozen_closure(k, [pair], tables)
         low = min(pair)
         assert got.num_blocks == (k if pair[0] == pair[1] else low + 1)
+
+
+@pytest.mark.parametrize("pair", [(0, 1), (1, 2)], ids=["one-block", "two-blocks"])
+def test_closure_peak_memory_stays_near_the_union_find(pair):
+    """Cg(0, 1) on the chain ends in one block, Cg(1, 2) in {0} and one block:
+    the block lists are freed before the ``Partition`` is built, on both returns."""
+    k = 2**16
+    tables = [_chain(k).table("u")]
+    peak = _traced_peak(lambda: _closure(k, [pair], tables))
+    assert peak <= 1.5 * _traced_peak(lambda: frozen_closure(k, [pair], tables))
 
 
 def test_from_pairs_and_joins_match_the_union_find():

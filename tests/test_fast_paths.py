@@ -90,7 +90,7 @@ def test_holds_and_evaluate_match_the_oracles(data):
 @property_test
 @given(algebras())
 def test_semigroup_tree_tables_match_the_oracle(X):
-    tables = semigroup_tree(X).tables
+    tables = list(map(tuple, semigroup_tree(X).tables))
     assert len(set(tables)) == len(tables)
     assert set(tables) == naive_semigroup_tables(X)
 

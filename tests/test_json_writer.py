@@ -11,6 +11,7 @@ bytes, and its peak memory must not grow with the length of a listing.
 import json
 import sys
 import tracemalloc
+from itertools import chain
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,7 +22,7 @@ from ualgebra.translations import principal_translations
 
 from _oracles import frozen_word_semigroup
 from test_cli import run_cli
-from test_translations import _differential_algebras
+from test_translations import _boundary_algebras, _differential_algebras
 
 # Calls per command; the last one ends in an error object (exit 2 or 3).
 CALLS = {
@@ -43,11 +44,11 @@ CALLS = {
 
 
 def expand(value):
-    """``value`` with every ``cli.Rows`` replaced by its list of dicts, tuples by lists."""
+    """``value`` with every ``cli.Rows`` replaced by its list of dicts, tuples and bytes by lists."""
     if type(value) is cli.Rows:
         keys = list(value.columns)
         return [dict(zip(keys, map(expand, row))) for row in zip(*value.columns.values())]
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, (list, tuple, bytes)):
         return [expand(x) for x in value]
     if isinstance(value, dict):
         return {key: expand(x) for key, x in value.items()}
@@ -114,9 +115,13 @@ def test_other_kinds_raise_type_error(value):
 
 
 def _rows(n):
-    """``Rows`` of ``n`` rows: str columns and int-tuple columns, empty tuples included."""
-    column = st.lists(st.text(), min_size=n, max_size=n) | st.lists(
-        st.lists(st.integers(min_value=-(10**30), max_value=10**30), max_size=4).map(tuple), min_size=n, max_size=n
+    """``Rows`` of ``n`` rows: str, int-tuple and bytes columns, empty tuples and bytes included."""
+    column = (
+        st.lists(st.text(), min_size=n, max_size=n)
+        | st.lists(
+            st.lists(st.integers(min_value=-(10**30), max_value=10**30), max_size=4).map(tuple), min_size=n, max_size=n
+        )
+        | st.lists(st.binary(max_size=4), min_size=n, max_size=n)
     )
     return st.dictionaries(st.text(), column, max_size=3).map(cli.Rows)
 
@@ -132,6 +137,7 @@ _row_documents = st.recursive(
 @given(_row_documents)
 @example({"members": cli.Rows({"word": ["e", "m@1(1)\u2218i", "\x00\x1f\"\\"], "\U0001d400": [(), (0,), (1, -2)]})})
 @example([cli.Rows({}), cli.Rows({"a": []}), cli.Rows({"\x07": ["\u00e9"]})])
+@example({"members": cli.Rows({"table": [b"", b"\x00", b"\xff\x01\x7f"], "word": ["e", "a", "b"]})})
 def test_documents_with_rows_match_json_dumps_of_their_expansion(doc):
     assert cli._dumps(doc) == json.dumps(expand(doc), indent=2, sort_keys=True)
 
@@ -147,6 +153,9 @@ def test_documents_with_rows_match_json_dumps_of_their_expansion(doc):
         {"word": ["e", None]},
         {1: ["e"]},
         {"word": ["e"], ("t",): [(0,)]},
+        {"table": [b"\x00\x01", (1, 0)]},
+        {"table": [(0, 1), b"\x01\x00"]},
+        {"table": [b"\x00", bytearray(b"\x01")]},
     ],
 )
 def test_rows_of_other_kinds_raise_type_error(columns):
@@ -160,10 +169,12 @@ def test_rows_columns_of_different_lengths_are_refused():
 
 
 def _translations_algebras(tmp_path):
-    """(argument, algebra): the fixtures by name, then seeded random and planted algebras in files."""
+    """(argument, algebra): the fixtures by name, then seeded random and planted algebras
+    and the unary chain on both sides of 256 elements (bytes tables, then tuples) in files."""
     for name in fixtures.fixture_names():
         yield name, fixtures.get_fixture(name)
-    for i, X in enumerate(_differential_algebras()):
+    chains = (next(_boundary_algebras(k)) for k in (255, 256, 257))
+    for i, X in enumerate(chain(_differential_algebras(), chains)):
         path = tmp_path / f"a{i}.json"
         path.write_text(json.dumps(X.to_json_dict()))
         yield str(path), X
@@ -198,14 +209,15 @@ def _emitted(doc, capsys):
 @pytest.mark.parametrize("length", [cli._BLOCK - 1, cli._BLOCK, cli._BLOCK + 1, 2 * cli._BLOCK + 1])
 def test_emitted_blocks_join_to_json_dumps(length, capsys):
     words = [f"w{i}\u2218" * (i % 3) for i in range(length)]
-    tables = [tuple(range(i % 4)) for i in range(length)]  # every fourth is the empty tuple
-    doc = {
-        "members": cli.Rows({"word": words, "table": tables}),
-        "tables": [list(range(-1, length - 1)), [True] * (length % 3)],
-        "map": list(range(length)),
-    }
-    expected = expand({"schema": 1, "command": "translations", "exit_code": 0, **doc})
-    assert _emitted(doc, capsys) == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+    for kind in (tuple, bytes):  # the table column as tuples, then as bytes
+        tables = [kind(range(i % 4)) for i in range(length)]  # every fourth is empty
+        doc = {
+            "members": cli.Rows({"word": words, "table": tables}),
+            "tables": [list(range(-1, length - 1)), [True] * (length % 3)],
+            "map": list(range(length)),
+        }
+        expected = expand({"schema": 1, "command": "translations", "exit_code": 0, **doc})
+        assert _emitted(doc, capsys) == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
 
 class _CountingSink:

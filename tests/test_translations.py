@@ -206,7 +206,7 @@ def test_tree_reproduces_the_frozen_word_closure():
         got = translation_semigroup(X)
         assert [(t.table, t.word) for t in got] == [(t.table, t.word) for t in expected]
         tree = semigroup_tree(X)
-        assert tree.tables == [t.table for t in expected]
+        assert list(map(tuple, tree.tables)) == [t.table for t in expected]
         assert tree.format_words() == [t.format_word() for t in expected]
         assert all(p < i for i, p in enumerate(tree.parent) if i)
 
@@ -242,8 +242,8 @@ def test_tree_matches_the_frozen_word_closure_at_the_byte_boundary(k):
     for X in _boundary_algebras(k):
         expected = frozen_word_semigroup(X, cap=10**6)
         tree = semigroup_tree(X)
-        assert tree.tables == [t.table for t in expected]
-        assert all(type(table) is tuple for table in tree.tables)
+        assert list(map(tuple, tree.tables)) == [t.table for t in expected]
+        assert all(type(table) is (bytes if k <= 256 else tuple) for table in tree.tables)
         index = {t.word: i for i, t in enumerate(expected)}
         letters = {g.word: j for j, g in enumerate(tree.generators)}
         assert tree.parent == [-1] + [index[t.word[:-1]] for t in expected[1:]]
@@ -284,7 +284,7 @@ def test_cap_zero_refuses_the_identity(X, tmp_path, capsys):
 
 
 def test_cap_one_admits_only_the_identity():
-    assert semigroup_tree(CONSTANTS_ONLY, cap=1).tables == [(0, 1, 2)]
+    assert list(map(tuple, semigroup_tree(CONSTANTS_ONLY, cap=1).tables)) == [(0, 1, 2)]
     with pytest.raises(SizeCapError, match="2 translations found, cap 1"):
         semigroup_tree(Z2, cap=1)
 
@@ -301,7 +301,7 @@ def _assert_tree_matches_the_level_loop(X):
     expected = frozen_semigroup_tree(X, SEMIGROUP_HARD_CAP)
     size = len(expected.tables)
     got = semigroup_tree(X, cap=size)
-    assert (got.tables, got.parent, got.letter) == (expected.tables, expected.parent, expected.letter)
+    assert (list(map(tuple, got.tables)), got.parent, got.letter) == (expected.tables, expected.parent, expected.letter)
     assert got.generators == expected.generators
     with pytest.raises(SizeCapError) as refused:
         frozen_semigroup_tree(X, size - 1)
