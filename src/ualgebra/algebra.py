@@ -5,18 +5,19 @@ flat in row-major (lexicographic argument) order; arity 0 is a single
 element.  All values are immutable after construction and all operations
 here are pure.
 
-This module is the only one that knows the row-major layout.  Principal
-translations are strided slices of the stored tables, and :func:`_images`
-reads them at row-major indices.  :meth:`FiniteAlgebra.apply_tables` builds
-term and closure tables: an operation with k^n <= 256 entries is applied
-with one base-256 sum and one ``bytes.translate``, so its argument and result
-tables may be ``bytes``; larger ones are applied by row-major index.
-:func:`holds` evaluates both terms over ``bytes`` variable tables whenever
-every operation fits that edge.  The one closure loop, :func:`_generated`,
-builds generated subalgebras and the clone, which is the subalgebra of
-X^(X³) that the projections generate; it holds each table as an integer of
-w-byte digits, with w from :func:`_width`, and applies an operation with one
-sum of those integers per argument tuple of tables.
+This module is the only one that knows the row-major layout and the byte
+layout (:func:`_width`, :func:`_byte_map`).  Principal translations are
+strided slices of the stored tables, and :func:`_images` reads them at
+row-major indices.  :meth:`FiniteAlgebra.apply_tables` builds term and closure
+tables: an operation with k^n <= 256 entries is applied with one base-256 sum
+and one ``bytes.translate``, so its argument and result tables may be
+``bytes``; larger ones are applied by row-major index.  :func:`holds`
+evaluates both terms over ``bytes`` variable tables whenever every operation
+fits that edge.  The one closure loop, :func:`_generated`, builds generated
+subalgebras and the clone, which is the subalgebra of X^(X³) that the
+projections generate; it holds each table as an integer of w-byte digits, with
+w from :func:`_width`, and applies an operation with one sum of those integers
+per argument tuple of tables.
 """
 
 import itertools
@@ -83,7 +84,7 @@ def _encode(sizes: Sequence[int], columns: Sequence[Sequence[int]]) -> Sequence[
 
 
 def _byte_map(table: Sequence[int]) -> bytes:
-    """An operation table, k^n <= 256 entries, as a ``bytes.translate`` map: padded with zeros to 256 bytes."""
+    """A table of at most 256 entries as a ``bytes.translate`` map: padded with zeros to 256 bytes."""
     return bytes(table).ljust(256, b"\0")
 
 

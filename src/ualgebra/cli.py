@@ -41,12 +41,12 @@ from .algebra import (
     subalgebra_generated,
 )
 from .congruences import PARTITION_ENUM_CAP, all_congruences, congruence_generated
-from .errors import FormatError, NotACongruenceError, SizeCapError, UAlgError, decimal
+from .errors import FormatError, NotACongruenceError, SizeCapError, UAlgError, decimal, is_decimal
 from .factorization import enumerate_factorizations, greatest_factorization, least_factorization, precedes
 from .malcev import CLONE_CAP, clone_ternary_terms, find_malcev_operations, group_malcev
 from .malcev import has_malcev_term, table_is_malcev
 from .partitions import Partition
-from .terms import classify_identity, evaluate, format_term, parse_term
+from .terms import _VAR_RE, classify_identity, evaluate, format_term, parse_term
 from .translations import SEMIGROUP_HARD_CAP, semigroup_tree
 
 if TYPE_CHECKING:
@@ -114,10 +114,6 @@ def _parse_map(text: str, source_size: int) -> CarrierMap:
     return CarrierMap(source_size, target, tuple(values))
 
 
-def _is_decimal(text: str) -> bool:
-    return text.isascii() and text.isdigit()
-
-
 def _parse_assignment(text: str) -> dict[int, int]:
     text = _read_arg(text).strip()
     if not text:
@@ -128,11 +124,12 @@ def _parse_assignment(text: str) -> dict[int, int]:
         if "=" not in piece:
             raise UAlgError(f"bad assignment entry {piece!r}, expected 'vN=value'")
         var, value = (part.strip() for part in piece.split("=", 1))
-        if not var.startswith("v") or not _is_decimal(var[1:]) or var[1] == "0":
+        name = _VAR_RE.fullmatch(var)
+        if name is None:
             raise UAlgError(f"bad variable name {var!r} in assignment")
-        if not _is_decimal(value):
+        if not is_decimal(value):
             raise UAlgError(f"bad value in assignment entry {piece!r}, expected decimal digits")
-        index = decimal(var[1:], UAlgError, "variable index")
+        index = decimal(name.group(1), UAlgError, "variable index")
         if index in out:
             raise UAlgError(f"variable {var} assigned twice in assignment")
         out[index] = decimal(value, UAlgError, "assignment value")
@@ -330,7 +327,7 @@ def cmd_translations(args) -> tuple[int, dict, Iterable[str]]:
 
 def cmd_malcev(args) -> tuple[int, dict, list[str]]:
     target = args.target
-    if _is_decimal(target.removeprefix("-")):
+    if is_decimal(target.removeprefix("-")):
         # a negative size is refused as 0 is, however many digits it has
         k = 0 if target.startswith("-") else decimal(target, UAlgError, "carrier size")
         enumeration = find_malcev_operations(k, cap=args.max_clone)
@@ -492,8 +489,8 @@ _OPTIONS = {
     "--oracle": ("oracle", None, False, "run brute-force cross-checks"),
     "--threads": ("threads", int, 1, "reserved; has no effect"),
     "--max-semigroup": ("max_semigroup", _cap, SEMIGROUP_HARD_CAP, "caps |S| in translations"),
-    "--max-partitions": ("max_partitions", _cap, PARTITION_ENUM_CAP, None),
-    "--max-clone": ("max_clone", _cap, CLONE_CAP, None),
+    "--max-partitions": ("max_partitions", _cap, PARTITION_ENUM_CAP, "caps partitions in the congruence search"),
+    "--max-clone": ("max_clone", _cap, CLONE_CAP, "caps the ternary operations that clone and malcev find"),
 }
 
 

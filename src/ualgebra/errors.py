@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by the whole package, and ``decimal``, which raises it."""
+"""Exception hierarchy shared by the whole package, and the decimal-digit rules ``is_decimal`` and ``decimal``."""
 
 
 class UAlgError(Exception):
@@ -77,6 +77,11 @@ class NotAGroupError(UAlgError):
 
 class MismatchedBaseError(UAlgError):
     """Two factorizations do not factor the same map."""
+
+
+def is_decimal(text: str) -> bool:
+    """Whether ``text`` is one or more ASCII decimal digits."""
+    return text.isascii() and text.isdigit()
 
 
 def decimal(digits: str, error: type[UAlgError], what: str) -> int:

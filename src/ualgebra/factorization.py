@@ -10,7 +10,7 @@ quotient by the largest congruence refining ker f.
 
 from dataclasses import dataclass
 
-from .algebra import CarrierMap, FiniteAlgebra, _quotient, is_homomorphism, kernel
+from .algebra import CarrierMap, FiniteAlgebra, _first_difference, _quotient, is_homomorphism, kernel
 from .check import Check
 from .congruences import PARTITION_ENUM_CAP, all_congruences, largest_congruence_below
 from .errors import MismatchedBaseError, SizeMismatchError
@@ -46,10 +46,9 @@ def is_factorization(X: FiniteAlgebra, f: CarrierMap, cand: Factorization) -> Ch
     hom = is_homomorphism(cand.g, X, cand.Y)
     if not hom:
         return Check(False, f"g is not a homomorphism (violation at {hom.witness})")
-    composed = cand.composed()
-    for x in range(X.size):
-        if composed(x) != f(x):
-            return Check(False, f"h∘g differs from f at x={x}")
+    x = _first_difference(cand.composed().values, f.values)
+    if x is not None:
+        return Check(False, f"h∘g differs from f at x={x}")
     return Check(True)
 
 

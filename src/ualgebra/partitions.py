@@ -9,7 +9,7 @@ elements with ``,``: ``"0,2|1,3"``.
 from collections import deque
 from typing import Hashable, Iterable, Iterator, Sequence
 
-from .errors import PartitionError, SizeMismatchError, decimal
+from .errors import PartitionError, SizeMismatchError, decimal, is_decimal
 
 
 class Partition:
@@ -85,7 +85,7 @@ class Partition:
             elems = []
             for piece in chunk.split(","):
                 piece = piece.strip()
-                if not (piece.isascii() and piece.isdigit()):
+                if not is_decimal(piece):
                     raise PartitionError(f"bad partition element {piece!r}")
                 elems.append(decimal(piece, PartitionError, "partition element"))
             blocks.append(elems)

@@ -10,7 +10,7 @@ from typing import Iterable, Iterator
 from .errors import DuplicateSymbolError, FormatError, ParseError, UnknownSymbolError, decimal
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_ENTRY_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)/([0-9]+)")
+_ENTRY_RE = re.compile(rf"({_NAME_RE.pattern})/([0-9]+)")
 
 
 class Signature:

@@ -17,13 +17,11 @@ from .errors import (
     ParseError,
     SignatureMismatchError,
     UnboundVariableError,
-    UnknownSymbolError,
     decimal,
 )
-from .signature import Signature
+from .signature import _NAME_RE, Signature
 
 _VAR_RE = re.compile(r"v([1-9][0-9]*)")
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 # Nested argument lists parse_term accepts.  Printing, evaluating and
 # classifying a term recurse once or twice per level, so much deeper terms
@@ -125,15 +123,11 @@ def _parse_term(tokens, i, sig, depth):
                 j += 1
                 break
             raise ParseError(f"expected ',' or ')', found {value2!r}", pos2)
-        if value not in sig:
-            raise UnknownSymbolError(f"unknown symbol '{value}'")
         expected = sig.arity(value)
         if expected != len(children):
             raise ArityMismatchError(value, expected, len(children))
         return Apply(value, tuple(children)), j
     # bare name: must be an arity-0 symbol
-    if value not in sig:
-        raise UnknownSymbolError(f"unknown symbol '{value}'")
     expected = sig.arity(value)
     if expected != 0:
         raise ArityMismatchError(value, expected, 0)

@@ -13,6 +13,7 @@ from itertools import repeat
 from operator import itemgetter
 from typing import NamedTuple
 
+from . import algebra  # not "from .algebra import": algebra imports congruences, which imports this module
 from .errors import SizeCapError, UAlgError
 
 SEMIGROUP_HARD_CAP = 10**6  # tables; |S(X)| <= k^k always
@@ -112,18 +113,19 @@ def semigroup_tree(X, cap: int = SEMIGROUP_HARD_CAP) -> SemigroupTree:
     bookkeeping.
 
     For k <= 256 the closure composes in ``bytes``: each generator becomes
-    the 256-byte map ``bytes(table) + bytes(range(k, 256))``, and member t
-    followed by generator g is ``t.translate(g)``.  Larger carriers compose
-    tuples with ``itemgetter``.  The tables are returned as composed, so
-    ``bytes`` up to k = 256 and tuples above.
+    the map ``algebra._byte_map(table)``, and member t followed by generator
+    g is ``t.translate(g)`` (member bytes are below k, so the pad is never
+    read).  Larger carriers compose tuples with ``itemgetter``.  The tables
+    are returned as composed, so ``bytes`` up to k = 256 and tuples above.
     The identity counts against ``cap``, so cap 0 admits no member.
     """
     if cap < 1:
         raise SizeCapError(f"1 translations found, cap {cap} (--max-semigroup)")
     k = X.size
     generators = principal_translations(X)
-    if k <= 256:
-        gen_maps = [bytes(g.table) + bytes(range(k, 256)) for g in generators]
+    small = algebra._width(k) == 1
+    if small:
+        gen_maps = [algebra._byte_map(g.table) for g in generators]
         tables = [bytes(range(k))]
     else:
         gen_maps = [g.table for g in generators]
@@ -142,7 +144,7 @@ def semigroup_tree(X, cap: int = SEMIGROUP_HARD_CAP) -> SemigroupTree:
             if lo == hi:
                 continue  # suffix(i) made no member, so neither does i
             tries = zip(range(lo, hi), letter[lo:hi])
-        pick = t.translate if k <= 256 else itemgetter(*t)  # pick(g) is member i followed by g
+        pick = t.translate if small else itemgetter(*t)  # pick(g) is member i followed by g
         for c, j in tries:
             table = pick(gen_maps[j])
             if table in seen:
