@@ -23,7 +23,7 @@ import json
 import os
 import sys
 from collections.abc import Callable, Iterable
-from itertools import chain, repeat
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from types import SimpleNamespace
@@ -46,7 +46,8 @@ from .factorization import enumerate_factorizations, greatest_factorization, lea
 from .malcev import CLONE_CAP, clone_ternary_terms, find_malcev_operations, group_malcev
 from .malcev import has_malcev_term, table_is_malcev
 from .partitions import Partition
-from .terms import _VAR_RE, classify_identity, evaluate, format_term, parse_term
+from .signature import _VAR_RE
+from .terms import classify_identity, evaluate, format_term, parse_term
 from .translations import SEMIGROUP_HARD_CAP, semigroup_tree
 
 if TYPE_CHECKING:
@@ -565,8 +566,8 @@ class Rows(NamedTuple):
 
     Every column has one entry per row, and holds only str, only tuples of
     int, or only ``bytes``, whose entries are the ints 0-255 they hold.
-    ``_write_json`` writes it; ``json.dumps`` would take it for a list
-    holding the dict of columns.
+    ``_write_json`` writes it a block of rows at a time, cell by cell;
+    ``json.dumps`` would take it for a list holding the dict of columns.
     """
 
     columns: dict[str, list]
@@ -575,24 +576,40 @@ class Rows(NamedTuple):
 # Rows of a ``Rows``, or ints of an all-int list, per ``write``: it bounds what the writer holds.
 _BLOCK = 256
 
+# The text of each byte value: ``list.__getitem__`` maps twice as fast as a tuple's.
+_DECIMALS = list(map(str, range(256)))
 
-def _column_texts(column: list, newline: str) -> list[str]:
-    """The JSON text of each entry of a ``Rows`` column, at the indent ``newline`` carries.
 
-    An int-sequence entry of length n is formatted by one ``%`` template of
-    n ``%d`` fields, built once per length.
+def _column_cells(column: list, newline: str) -> tuple[list[str], list[Iterable[str]]]:
+    """``(texts, cells)``: entry i of the block ``column`` of a ``Rows``, at the
+    indent ``newline`` carries, is ``texts[0] + cells[0][i] + texts[1] + ...
+    + texts[-1]``.
+
+    A block of int sequences that all have length n gives n cells, one per
+    position: its ints are mapped to text in one pass, ``bytes`` through
+    ``_DECIMALS``, and cut into positions by strided slices.  A str block,
+    or one whose entries differ in length, gives one cell: each entry's
+    whole text, the latter by one ``%`` template of ``%d`` fields per length.
     """
     kinds = set(map(type, column))
     if kinds <= {str}:
-        return list(map(encode_basestring_ascii, column))
-    if kinds == {bytes} or kinds == {tuple} and set(map(type, chain.from_iterable(column))) <= {int}:
-        inner = newline + "  "
-        templates = {
-            n: "[" + inner + ("," + inner).join(["%d"] * n) + newline + "]" if n else "[]"
-            for n in set(map(len, column))
-        }
-        return [templates[len(entry)] % tuple(entry) for entry in column]
-    raise TypeError("a Rows column must hold only str, only tuples of int or only bytes")
+        return ["", ""], [map(encode_basestring_ascii, column)]
+    if kinds == {bytes}:
+        flat, decimal_text = b"".join(column), _DECIMALS.__getitem__
+    elif kinds == {tuple} and set(map(type, flat := tuple(chain.from_iterable(column)))) <= {int}:
+        decimal_text = int.__repr__
+    else:
+        raise TypeError("a Rows column must hold only str, only tuples of int or only bytes")
+    inner = newline + "  "
+    lengths = set(map(len, column))
+    if len(lengths) > 1:
+        templates = {n: "[" + inner + ("," + inner).join(["%d"] * n) + newline + "]" if n else "[]" for n in lengths}
+        return ["", ""], [[templates[len(entry)] % tuple(entry) for entry in column]]
+    (n,) = lengths
+    if not n:
+        return ["[]"], []
+    texts = list(map(decimal_text, flat))
+    return ["[" + inner, *["," + inner] * (n - 1), newline + "]"], [texts[p::n] for p in range(n)]
 
 
 def _write_json(value, newline: str, write: Callable[[str], object]) -> None:
@@ -604,9 +621,11 @@ def _write_json(value, newline: str, write: Callable[[str], object]) -> None:
     back to its pure-Python one; this writer does less per value.  It takes
     only what payloads hold: str-keyed dicts, lists, str, int, bool, None
     and ``Rows``.  A ``Rows`` is written as the array of objects it stands
-    for, ``_BLOCK`` rows per ``write``: each key's header (separator, indent
-    and ``"key": ``) is built once, and each row joins the headers with its
-    entries' texts.  An all-int list is written ``_BLOCK`` ints per
+    for, ``_BLOCK`` rows per ``write``.  A block is one ``"".join`` of a list
+    laid out row by row: the static text of a row (each key's header, the
+    brackets and separators) is built once per block, and the texts of each
+    cell position, from ``_column_cells``, are spliced in by one strided
+    slice assignment.  An all-int list is written ``_BLOCK`` ints per
     ``write``, so no listing is ever held as one string.
     """
     kind = type(value)
@@ -656,17 +675,27 @@ def _write_json(value, newline: str, write: Callable[[str], object]) -> None:
             write("[]")
             return
         inner, field = newline + "  ", newline + "    "
-        keys, headers, sep = sorted(columns), [], "{" + field
-        for key in keys:
-            headers.append(repeat(sep + encode_basestring_ascii(key) + ": "))
-            sep = "," + field
-        sep = "[" + inner
-        for start in range(0, len(columns[keys[0]]), _BLOCK):
-            parts = []
-            for key, header in zip(keys, headers):
-                parts += [header, _column_texts(columns[key][start : start + _BLOCK], field)]
-            parts.append(repeat(inner + "}"))
-            write(sep + ("," + inner).join(map("".join, zip(*parts))))
+        keys = sorted(columns)
+        heads = [("," if i else "{") + field + encode_basestring_ascii(key) + ": " for i, key in enumerate(keys)]
+        sep, size = "[" + inner, len(columns[keys[0]])
+        for start in range(0, size, _BLOCK):
+            texts, cells = [""], []
+            for key, head in zip(keys, heads):
+                column_texts, column_cells = _column_cells(columns[key][start : start + _BLOCK], field)
+                texts[-1] += head + column_texts[0]
+                texts += column_texts[1:]
+                cells += column_cells
+            last = texts[-1] + inner + "}"
+            texts[-1] = last + "," + inner
+            width = 2 * len(cells) + 1
+            row = [""] * width
+            row[::2] = texts
+            parts = row * min(_BLOCK, size - start)
+            for q, cell in enumerate(cells):
+                parts[2 * q + 1 :: width] = cell
+            parts[-1] = last
+            parts[0] = sep + parts[0]
+            write("".join(parts))
             sep = "," + inner
         write(newline + "]")
     else:

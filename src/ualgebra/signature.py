@@ -11,6 +11,8 @@ from .errors import DuplicateSymbolError, FormatError, ParseError, UnknownSymbol
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _ENTRY_RE = re.compile(rf"({_NAME_RE.pattern})/([0-9]+)")
+# Names of this form are variables in term text, so no symbol may take one.
+_VAR_RE = re.compile(r"v([1-9][0-9]*)")
 
 
 class Signature:
@@ -25,6 +27,8 @@ class Signature:
         for name, n in entries:
             if not isinstance(name, str) or not _NAME_RE.fullmatch(name):
                 raise FormatError(f"bad symbol name: {name!r}")
+            if _VAR_RE.fullmatch(name):
+                raise FormatError(f"symbol name {name!r} is a variable name")
             if type(n) is not int or n < 0:
                 raise FormatError(f"arity of '{name}' must be a nonnegative integer, got {n!r}")
             if name in arity:

@@ -6,7 +6,6 @@ an arity-0 symbol.  ``parse_term(format_term(t), sig)`` returns ``t``.
 """
 
 import enum
-import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
@@ -19,9 +18,7 @@ from .errors import (
     UnboundVariableError,
     decimal,
 )
-from .signature import _NAME_RE, Signature
-
-_VAR_RE = re.compile(r"v([1-9][0-9]*)")
+from .signature import _NAME_RE, _VAR_RE, Signature
 
 # Nested argument lists parse_term accepts.  Printing, evaluating and
 # classifying a term recurse once or twice per level, so much deeper terms

@@ -20,9 +20,10 @@ boundary_test = settings(derandomize=True, max_examples=60, deadline=None)
 
 _names = st.sampled_from(["f", "g", "u", "c", "m", "e", "i", "v1", "_x"])
 _counts = st.integers(0, 4) | st.integers(-1, BIG)
-_signatures = st.dictionaries(_names, _counts.filter(lambda n: n >= 0), max_size=4).map(
-    lambda arities: Signature(arities.items())
-)
+# "v1" stays in algebra documents, which refuse it, and in term text, where it is a variable.
+_signatures = st.dictionaries(
+    _names.filter(lambda name: name != "v1"), _counts.filter(lambda n: n >= 0), max_size=4
+).map(lambda arities: Signature(arities.items()))
 _json = st.recursive(
     st.none() | st.booleans() | _counts | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_names | st.text(max_size=3), inner, max_size=3),

@@ -345,6 +345,24 @@ def test_algebra_files_with_a_signature_or_ops_of_the_wrong_json_type_are_format
     capsys.readouterr()
 
 
+def test_algebra_files_with_a_symbol_named_like_a_variable_are_format_errors(tmp_path, capsys):
+    """A constant ``v1`` would be read as a variable, a binary ``v1(v2,v3)`` not at all."""
+    path = tmp_path / "v.json"
+    for symbol, arity, table, argv in (
+        ("v1", 0, 0, ["check-identity", "v1", "v2"]),
+        ("v12", 2, [[0, 1], [1, 0]], ["eval", "v12(v2,v3)", "v2=0,v3=1"]),
+    ):
+        signature = [{"symbol": symbol, "arity": arity}]
+        path.write_text(json.dumps({"signature": signature, "size": 2, "ops": {symbol: table}}))
+        code, doc = run_json([argv[0], str(path), *argv[1:]])
+        assert (code, doc["error"]["type"]) == (2, "FormatError")
+        assert doc["error"]["message"] == f"symbol name '{symbol}' is a variable name"
+    path.write_text(json.dumps({"signature": [{"symbol": "v0", "arity": 0}], "size": 2, "ops": {"v0": 1}}))
+    code, doc = run_json(["eval", str(path), "v0", ""])  # v0 is no variable name: a constant may take it
+    assert (code, doc["value"]) == (0, 1)
+    capsys.readouterr()
+
+
 def test_algebras_past_the_fixed_limits_exit_3_before_allocating(tmp_path, capsys):
     wide = [{"symbol": "f", "arity": 10**10}]
     constant = [{"symbol": "c", "arity": 0}]

@@ -138,6 +138,9 @@ _row_documents = st.recursive(
 @example({"members": cli.Rows({"word": ["e", "m@1(1)\u2218i", "\x00\x1f\"\\"], "\U0001d400": [(), (0,), (1, -2)]})})
 @example([cli.Rows({}), cli.Rows({"a": []}), cli.Rows({"\x07": ["\u00e9"]})])
 @example({"members": cli.Rows({"table": [b"", b"\x00", b"\xff\x01\x7f"], "word": ["e", "a", "b"]})})
+@example([cli.Rows({"table": [b"", b"", b""], "word": ["e", "a", "b"]}), cli.Rows({"t": [(), ()]})])  # n = 0
+@example([cli.Rows({"table": [b"\x00", b"\xff"], "u": [(-1,), (256,)], "word": ["a", "b"]})])  # n = 1
+@example(cli.Rows({"table": [b"\x02\x00\x01"], "u": [(7, -7)], "word": ["\u2218"]}))  # one row
 def test_documents_with_rows_match_json_dumps_of_their_expansion(doc):
     assert cli._dumps(doc) == json.dumps(expand(doc), indent=2, sort_keys=True)
 
@@ -206,18 +209,26 @@ def _emitted(doc, capsys):
     return capsys.readouterr().out
 
 
+def _block_edge_tables(length):
+    """(kind of table column, its entries) for a listing of ``length`` rows."""
+    for kind in (tuple, bytes):
+        yield kind, [kind(range(i % 4)) for i in range(length)]  # lengths vary; every fourth is empty
+        yield kind, [kind((i + 37 * j) % 256 for j in range(6)) for i in range(length)]  # one length; 0-255
+        yield kind, [kind(range(3 if i < cli._BLOCK else i % 4)) for i in range(length)]  # one length, then several
+    yield tuple, [tuple((i - 300) * (j + 1) for j in range(5)) for i in range(length)]  # below 0 and above 255
+
+
 @pytest.mark.parametrize("length", [cli._BLOCK - 1, cli._BLOCK, cli._BLOCK + 1, 2 * cli._BLOCK + 1])
 def test_emitted_blocks_join_to_json_dumps(length, capsys):
     words = [f"w{i}\u2218" * (i % 3) for i in range(length)]
-    for kind in (tuple, bytes):  # the table column as tuples, then as bytes
-        tables = [kind(range(i % 4)) for i in range(length)]  # every fourth is empty
+    for kind, tables in _block_edge_tables(length):
         doc = {
-            "members": cli.Rows({"word": words, "table": tables}),
+            "members": cli.Rows({"word": words, "table": tables, "z": tables}),
             "tables": [list(range(-1, length - 1)), [True] * (length % 3)],
             "map": list(range(length)),
         }
         expected = expand({"schema": 1, "command": "translations", "exit_code": 0, **doc})
-        assert _emitted(doc, capsys) == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+        assert _emitted(doc, capsys) == json.dumps(expected, indent=2, sort_keys=True) + "\n", kind
 
 
 class _CountingSink:

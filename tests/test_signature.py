@@ -1,7 +1,8 @@
 import pytest
 
-from ualgebra import Signature, parse_signature
-from ualgebra.errors import DuplicateSymbolError, ParseError, UnknownSymbolError
+from ualgebra import Signature, parse_signature, parse_term
+from ualgebra.errors import DuplicateSymbolError, FormatError, ParseError, UnknownSymbolError
+from ualgebra.terms import Apply, Constant
 
 
 def test_parse_group_signature():
@@ -51,3 +52,19 @@ def test_unknown_symbol_lookup():
 def test_negative_arity_rejected_by_constructor():
     with pytest.raises(ValueError):
         Signature([("m", -1)])
+
+
+@pytest.mark.parametrize("name", ["v1", "v2", "v10", "v1234567890"])
+def test_symbols_named_like_variables_are_refused(name):
+    """Term text reads ``v1, v2, ...`` as variables, so no symbol may be named one."""
+    for arity in (0, 2):
+        with pytest.raises(FormatError, match="variable name"):
+            Signature([("m", 2), (name, arity)])
+        with pytest.raises(FormatError, match="variable name"):
+            parse_signature(f"m/2 {name}/{arity}")
+
+
+@pytest.mark.parametrize("name", ["v0", "v01", "V1", "v", "v1x", "x_v1"])
+def test_names_that_are_not_variables_stay_symbols(name):
+    sig = Signature([(name, 0), ("m", 2)])
+    assert parse_term(f"m({name},{name})", sig) == Apply("m", (Constant(name),) * 2)
