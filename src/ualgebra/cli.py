@@ -19,13 +19,14 @@ Exit codes: 0 success/PASS, 1 semantic FAIL, 2 usage or parse error,
 3 cap exceeded, 141 stdout closed by its reader (128 + SIGPIPE).
 """
 
+import errno
 import json
 import os
 import sys
 from collections.abc import Callable, Iterable
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
+from stat import S_ISREG
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -56,12 +57,29 @@ if TYPE_CHECKING:
 SCHEMA = 1
 
 
+# The stat errors that mean "no such file", as pathlib's Path.is_file reads them;
+# any other (EACCES, say) is raised and reported.
+_NO_FILE = (errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP)
+
+
 def _algebra(name: str) -> FiniteAlgebra:
-    """The built-in fixture ``name``, or the algebra in the JSON file at that path."""
+    """The built-in fixture ``name``, or the algebra in the JSON file at that path.
+
+    A fixture name wins over a file of the same name (write ``./Z4`` for the
+    file).  The path must name a regular file, or a symlink to one: a missing
+    path, a directory or a FIFO is an unknown algebra, refused without opening
+    it.  Any other stat error (a path that cannot be searched, say) is raised.
+    """
     fixture = fixtures.get_fixture(name)
     if fixture is not None:
         return fixture
-    if Path(name).is_file():
+    try:
+        is_file = S_ISREG(os.stat(name).st_mode)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the name
+        if isinstance(exc, OSError) and exc.errno not in _NO_FILE:
+            raise
+        is_file = False
+    if is_file:
         return FiniteAlgebra.from_json_dict(_json(_read_file(name), f"algebra file '{name}'", FormatError))
     raise UAlgError(f"unknown algebra '{name}' (not a fixture name or readable file)")
 
@@ -80,9 +98,14 @@ def _json(text: str, what: str, error: type[UAlgError] = UAlgError):
 
 
 def _read_file(path: str) -> str:
-    """The text of the file at ``path``, read as UTF-8; other bytes are a FormatError naming the file."""
+    """The text of the file at ``path``, read as UTF-8 with universal newlines.
+
+    Bytes that are not UTF-8 are a FormatError naming the file and the byte
+    offset.  An OSError names ``path`` as given, not a normalised form.
+    """
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as file:
+            return file.read()
     except UnicodeDecodeError as exc:
         raise FormatError(f"file '{path}' is not UTF-8: {exc.reason} at byte {exc.start}") from None
 

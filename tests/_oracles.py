@@ -5,7 +5,7 @@ deliberately sharing no algorithmic route with the library: set partitions
 are enumerated recursively (not as restricted-growth strings), semigroup,
 clone and subalgebra closures run as repeated full passes over raw tables, the
 largest-congruence oracle filters the whole congruence lattice, and terms
-are evaluated one assignment at a time by recursion.  Seven are exceptions,
+are evaluated one assignment at a time by recursion.  Nine are exceptions,
 routes the library used before, kept as the references it must reproduce
 exactly: ``frozen_word_semigroup``, the closure loop that the translation
 semigroup used before it kept its members as a tree;
@@ -19,22 +19,28 @@ that algebra construction used before it checked one nesting level at a
 time; ``frozen_generated``, the tuple-table closure loop that generated
 subalgebras and the clone used before they composed in bytes;
 ``frozen_apply_tables``, the row-major tuple route that applied every
-operation before small ones were applied in bytes; and ``frozen_closure``,
+operation before small ones were applied in bytes; ``frozen_closure``,
 the union-find forest with path compression that generated every
 congruence, join and equivalence closure before the closure kept one block
-label per element.
+label per element; and ``frozen_algebra`` with ``frozen_read_file``, the
+pathlib loader that read algebra files and ``@path`` arguments before the
+command line read them with one plain ``open()``.
 """
 
 import itertools
 import random
 from collections import deque
 from operator import itemgetter
+from pathlib import Path
 from typing import Iterable, Sequence
 
-from ualgebra import Constant, FiniteAlgebra, Partition, Signature, Translation, Variable, principal_translations
+from ualgebra import Constant, FiniteAlgebra, Partition, Signature, Translation, Variable, fixtures
+from ualgebra import principal_translations
 from ualgebra.check import Check
 from ualgebra.algebra import TABLE_CAP
+from ualgebra.cli import _json
 from ualgebra.errors import ArityMismatchError, FormatError, OutOfCarrierError, SizeCapError, SizeMismatchError
+from ualgebra.errors import UAlgError
 from ualgebra.translations import SemigroupTree
 
 
@@ -565,3 +571,24 @@ def frozen_closure(
             if union(x, y):
                 merged.append((x, y))
     return Partition([find(x) for x in range(size)])
+
+
+def frozen_read_file(path: str) -> str:
+    """The text of the file at ``path`` through ``Path.read_text``, read as UTF-8;
+    other bytes are a FormatError naming the file.  An OSError names the path
+    as pathlib normalises it (``./a//b`` as ``a/b``, ``""`` as ``.``)."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"file '{path}' is not UTF-8: {exc.reason} at byte {exc.start}") from None
+
+
+def frozen_algebra(name: str) -> FiniteAlgebra:
+    """The built-in fixture ``name``, or the algebra in the JSON file at that
+    path if ``Path(name).is_file()``."""
+    fixture = fixtures.get_fixture(name)
+    if fixture is not None:
+        return fixture
+    if Path(name).is_file():
+        return FiniteAlgebra.from_json_dict(_json(frozen_read_file(name), f"algebra file '{name}'", FormatError))
+    raise UAlgError(f"unknown algebra '{name}' (not a fixture name or readable file)")

@@ -241,6 +241,27 @@ def test_file_inputs(tmp_path):
     assert code == 0 and doc["p"] == "m(v1,v2)"
 
 
+def test_path_argument_errors_name_the_path_as_typed(tmp_path, monkeypatch, capsys):
+    # Before, pathlib normalised the path, and the message read 'a/nope.txt'.
+    monkeypatch.chdir(tmp_path)
+    message = "[Errno 2] No such file or directory: './a//nope.txt'"
+    assert main(["eval", "Z4", "@./a//nope.txt", "--json"]) == 2
+    out, err = capsys.readouterr()
+    assert json.loads(out)["error"] == {"type": "FileNotFoundError", "message": message}
+    assert err == f"error: {message}\n"
+    assert main(["eval", "Z4", "@./a//nope.txt"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_a_fixture_name_wins_over_a_file_of_that_name(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "Z4").write_text(json.dumps({"signature": [{"symbol": "f", "arity": 1}], "size": 2, "ops": {"f": [1, 0]}}))
+    code, doc = run_json(["congruences", "Z4"])
+    assert code == 0 and doc["count"] == 3  # the cyclic group Z4
+    code, doc = run_json(["congruences", "./Z4"])
+    assert code == 0 and doc["count"] == 2  # the file: a swap of two elements
+
+
 def test_cap_flag_exit_3(capsys):
     assert main(["congruences", "Z6", "--max-partitions", "10"]) == 3
     capsys.readouterr()
