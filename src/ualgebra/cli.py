@@ -338,12 +338,13 @@ def cmd_gen_congruence(args) -> tuple[int, dict, list[str]]:
 def cmd_translations(args) -> tuple[int, dict, Iterable[str]]:
     X = _algebra(args.algebra)
     tree = semigroup_tree(X, cap=args.max_semigroup)
-    words = tree.format_words()
+    # --json writes each word as built: ∘ already in its JSON form, one byte a character
+    words = tree.format_words("\\u2218" if args.json else "∘")
     payload = {
         "algebra": args.algebra,
         "s1_size": len(tree.generators),
         "s_size": len(words),
-        "members": Rows({"table": tree.tables, "word": words}),
+        "members": Rows({"table": tree.tables, "word": words}, ("word",) if args.json else ()),
     }
     lines = (f"{word} ⇒ [{','.join(map(str, table))}]" for word, table in zip(words, tree.tables))
     return 0, payload, chain([f"|S1| = {len(tree.generators)}", f"|S| = {len(words)}"], lines)
@@ -588,12 +589,16 @@ class Rows(NamedTuple):
     """A JSON array of objects held column-wise: row i is ``{key: columns[key][i]}``.
 
     Every column has one entry per row, and holds only str, only tuples of
-    int, or only ``bytes``, whose entries are the ints 0-255 they hold.
-    ``_write_json`` writes it a block of rows at a time, cell by cell;
-    ``json.dumps`` would take it for a list holding the dict of columns.
+    int, or only ``bytes``, whose entries are the ints 0-255 they hold.  The
+    columns whose keys are in ``escaped`` hold only str already in JSON
+    string form, ``encode_basestring_ascii(text)[1:-1]``: they are written
+    between quotes as they are.  ``_write_json`` writes a ``Rows`` a block of
+    rows at a time, cell by cell; ``json.dumps`` would take it for a list
+    holding the dict of columns.
     """
 
     columns: dict[str, list]
+    escaped: tuple[str, ...] = ()
 
 
 # Rows of a ``Rows``, or ints of an all-int list, per ``write``: it bounds what the writer holds.
@@ -603,18 +608,23 @@ _BLOCK = 256
 _DECIMALS = list(map(str, range(256)))
 
 
-def _column_cells(column: list, newline: str) -> tuple[list[str], list[Iterable[str]]]:
+def _column_cells(column: list, newline: str, escaped: bool) -> tuple[list[str], list[Iterable[str]]]:
     """``(texts, cells)``: entry i of the block ``column`` of a ``Rows``, at the
     indent ``newline`` carries, is ``texts[0] + cells[0][i] + texts[1] + ...
-    + texts[-1]``.
+    + texts[-1]``.  ``escaped`` marks a column of str in JSON string form.
 
     A block of int sequences that all have length n gives n cells, one per
     position: its ints are mapped to text in one pass, ``bytes`` through
     ``_DECIMALS``, and cut into positions by strided slices.  A str block,
     or one whose entries differ in length, gives one cell: each entry's
     whole text, the latter by one ``%`` template of ``%d`` fields per length.
+    An escaped block is its own cell, between quotes, with no escape pass.
     """
     kinds = set(map(type, column))
+    if escaped:
+        if kinds <= {str}:
+            return ['"', '"'], [column]
+        raise TypeError("an escaped Rows column must hold only str")
     if kinds <= {str}:
         return ["", ""], [map(encode_basestring_ascii, column)]
     if kinds == {bytes}:
@@ -646,10 +656,11 @@ def _write_json(value, newline: str, write: Callable[[str], object]) -> None:
     and ``Rows``.  A ``Rows`` is written as the array of objects it stands
     for, ``_BLOCK`` rows per ``write``.  A block is one ``"".join`` of a list
     laid out row by row: the static text of a row (each key's header, the
-    brackets and separators) is built once per block, and the texts of each
-    cell position, from ``_column_cells``, are spliced in by one strided
-    slice assignment.  An all-int list is written ``_BLOCK`` ints per
-    ``write``, so no listing is ever held as one string.
+    brackets, quotes and separators) is built once per block, and the texts
+    of each cell position, from ``_column_cells``, are spliced in by one
+    strided slice assignment; an escaped column's str go in as they are.
+    An all-int list is written ``_BLOCK`` ints per ``write``, so no listing
+    is ever held as one string.
     """
     kind = type(value)
     if kind is str:
@@ -704,7 +715,8 @@ def _write_json(value, newline: str, write: Callable[[str], object]) -> None:
         for start in range(0, size, _BLOCK):
             texts, cells = [""], []
             for key, head in zip(keys, heads):
-                column_texts, column_cells = _column_cells(columns[key][start : start + _BLOCK], field)
+                block = columns[key][start : start + _BLOCK]
+                column_texts, column_cells = _column_cells(block, field, key in value.escaped)
                 texts[-1] += head + column_texts[0]
                 texts += column_texts[1:]
                 cells += column_cells

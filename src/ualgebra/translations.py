@@ -9,7 +9,7 @@ descriptors) that produced them, applied left to right.
 
 from array import array
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -84,12 +84,20 @@ class SemigroupTree(NamedTuple):
     parent: list[int]
     letter: list[int]
 
-    def format_words(self) -> list[str]:
-        """``Translation.format_word`` of every member, each built once from its parent's."""
+    def format_words(self, compose: str = "∘") -> list[str]:
+        """``Translation.format_word`` of every member, each built once from its
+        parent's, with ``compose`` in place of ``∘``.
+
+        Every word is ASCII apart from ``∘``: symbol names are ASCII
+        identifiers, and slots and fixed arguments are decimals.  So
+        ``compose="\\u2218"`` gives each word's JSON string form without
+        its quotes, ``encode_basestring_ascii(word)[1:-1]``, at one byte per
+        character.
+        """
         texts = [g.format_word() for g in self.generators]
         words = ["e"]
         for p, j in zip(self.parent[1:], self.letter[1:]):
-            words.append(texts[j] if p == 0 else texts[j] + "∘" + words[p])
+            words.append(texts[j] if p == 0 else texts[j] + compose + words[p])
         return words
 
 
@@ -102,51 +110,51 @@ def semigroup_tree(X, cap: int = SEMIGROUP_HARD_CAP) -> SemigroupTree:
     shortlex-least one of its table, and the output order is deterministic.
     Deduplication is by table; words are provenance only.
 
-    The identity is followed by every generator, any other member i only by
-    those that the suffix rule of Froidure and Pin leaves.  Write i's word
-    as a·v with first letter a: v is shortlex-least too, so it is a member,
-    suffix(i), that came before i.  If suffix(i) followed by generator j
-    made no new member, v·j has a shortlex-smaller word u, so i·j = a·u has
-    a word smaller than a·v·j and is already a member: it is not composed.
-    The members that one member made form a contiguous run, so the run
-    starts and the suffixes, two arrays of 4-byte ints, are all the
-    bookkeeping.
+    The identity followed by a generator is that generator, so the
+    identity makes every generator but itself, with no composition.  Any
+    other member i is followed only by the generators that the suffix rule
+    of Froidure and Pin leaves.  Write i's word as a·v with first letter a:
+    v is shortlex-least too, so it is a member, suffix(i), that came before
+    i.  If suffix(i) followed by generator j made no new member, v·j has a
+    shortlex-smaller word u, so i·j = a·u has a word smaller than a·v·j and
+    is already a member: it is not composed.  The members that one member
+    made form a contiguous run, so member i walks the run of suffix(i), and
+    for each member c of it reads ``maps[c]``, the map of c's last letter.
+    The run starts and the suffixes, two arrays of 4-byte ints, and the
+    list ``maps`` are all the bookkeeping.
 
-    For k <= 256 the closure composes in ``bytes``: each generator becomes
-    the map ``algebra._byte_map(table)``, and member t followed by generator
-    g is ``t.translate(g)`` (member bytes are below k, so the pad is never
-    read).  Larger carriers compose tuples with ``itemgetter``.  The tables
-    are returned as composed, so ``bytes`` up to k = 256 and tuples above.
-    The identity counts against ``cap``, so cap 0 admits no member.
+    For k <= 256 the closure composes in ``bytes``: a generator's map is
+    ``algebra._byte_map(table)``, and member t followed by generator g is
+    ``t.translate(g)`` (member bytes are below k, so the pad is never read).
+    Larger carriers compose tuples with ``itemgetter``.  The tables are
+    returned as composed, so ``bytes`` up to k = 256 and tuples above.  The
+    identity counts against ``cap``, so cap 0 admits no member.
     """
-    if cap < 1:
-        raise SizeCapError(f"1 translations found, cap {cap} (--max-semigroup)")
     k = X.size
     generators = principal_translations(X)
-    small = algebra._width(k) == 1
-    if small:
-        gen_maps = [algebra._byte_map(g.table) for g in generators]
-        tables = [bytes(range(k))]
-    else:
-        gen_maps = [g.table for g in generators]
-        tables = [tuple(range(k))]
-    parent, letter = [-1], [-1]
-    seen = {tables[0]}
+    identity = tuple(range(k))
+    letter = [-1, *(j for j, g in enumerate(generators) if g.table != identity)]
+    if len(letter) > cap:  # the identity's run is made at once; the cap counts the identity too
+        raise SizeCapError(f"{max(cap, 0) + 1} translations found, cap {cap} (--max-semigroup)")
+    first = [generators[j].table for j in letter[1:]]
+    form, to_map = (bytes, algebra._byte_map) if algebra._width(k) == 1 else (tuple, tuple)
+    tables = [form(identity), *map(form, first)]
+    maps = [None, *map(to_map, first)]  # maps[c] is the map of member c's last letter
+    parent = [-1] + [0] * len(first)
+    seen = set(tables)
     # C ints: a closure of 2**31 members would not fit in memory anyway
-    suffix = array("i", [0])  # the identity's own entry is never read
-    bounds = array("i")  # members bounds[s] .. bounds[s + 1] - 1 are the ones member s made
-    tries = zip(repeat(0), range(len(gen_maps)))  # (suffix of the product, letter) for the identity
-    for i, t in enumerate(tables):  # the list grows while it is walked
+    suffix = array("i", [0]) * len(tables)  # the identity is the suffix of a one-letter word
+    bounds = array("i", [1])  # members bounds[s] .. bounds[s + 1] - 1 are the ones member s made
+    for i, t in enumerate(islice(tables, 1, None), 1):  # the list grows while it is walked
         bounds.append(len(tables))
-        if i:
-            s = suffix[i]
-            lo, hi = bounds[s], bounds[s + 1]
-            if lo == hi:
-                continue  # suffix(i) made no member, so neither does i
-            tries = zip(range(lo, hi), letter[lo:hi])
-        pick = t.translate if small else itemgetter(*t)  # pick(g) is member i followed by g
-        for c, j in tries:
-            table = pick(gen_maps[j])
+        s = suffix[i]
+        lo, hi = bounds[s], bounds[s + 1]
+        if lo == hi:
+            continue  # suffix(i) made no member, so neither does i
+        pick = t.translate if form is bytes else itemgetter(*t)  # pick(g) is member i followed by g
+        for c in range(lo, hi):
+            g = maps[c]
+            table = pick(g)
             if table in seen:
                 continue
             if len(tables) >= cap:
@@ -156,8 +164,9 @@ def semigroup_tree(X, cap: int = SEMIGROUP_HARD_CAP) -> SemigroupTree:
             seen.add(table)
             tables.append(table)
             parent.append(i)
-            letter.append(j)
+            letter.append(letter[c])
             suffix.append(c)
+            maps.append(g)
     return SemigroupTree(generators, tables, parent, letter)
 
 

@@ -12,6 +12,7 @@ import json
 import sys
 import tracemalloc
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import pytest
 from hypothesis import example, given, settings
@@ -44,10 +45,14 @@ CALLS = {
 
 
 def expand(value):
-    """``value`` with every ``cli.Rows`` replaced by its list of dicts, tuples and bytes by lists."""
+    """``value`` with every ``cli.Rows`` replaced by its list of dicts, the str
+    of its escaped columns unescaped, and tuples and bytes by lists."""
     if type(value) is cli.Rows:
-        keys = list(value.columns)
-        return [dict(zip(keys, map(expand, row))) for row in zip(*value.columns.values())]
+        columns = [
+            [json.loads(f'"{text}"') for text in column] if key in value.escaped else column
+            for key, column in value.columns.items()
+        ]
+        return [dict(zip(value.columns, map(expand, row))) for row in zip(*columns)]
     if isinstance(value, (list, tuple, bytes)):
         return [expand(x) for x in value]
     if isinstance(value, dict):
@@ -114,16 +119,28 @@ def test_other_kinds_raise_type_error(value):
         cli._dumps(value)
 
 
+def _escaped(texts):
+    """``texts`` in JSON string form, as an escaped ``Rows`` column holds them."""
+    return [encode_basestring_ascii(text)[1:-1] for text in texts]
+
+
+def _marked_rows(columns):
+    """``Rows`` of ``{key: (column, escaped)}``: the columns, the escaped ones marked."""
+    escaped = tuple(key for key, (_, marked) in columns.items() if marked)
+    return cli.Rows({key: column for key, (column, _) in columns.items()}, escaped)
+
+
 def _rows(n):
-    """``Rows`` of ``n`` rows: str, int-tuple and bytes columns, empty tuples and bytes included."""
+    """``Rows`` of ``n`` rows: str, int-tuple, bytes and escaped str columns, empty tuples and bytes included."""
+    texts = st.lists(st.text(), min_size=n, max_size=n)
     column = (
-        st.lists(st.text(), min_size=n, max_size=n)
+        texts
         | st.lists(
             st.lists(st.integers(min_value=-(10**30), max_value=10**30), max_size=4).map(tuple), min_size=n, max_size=n
         )
         | st.lists(st.binary(max_size=4), min_size=n, max_size=n)
-    )
-    return st.dictionaries(st.text(), column, max_size=3).map(cli.Rows)
+    ).map(lambda column: (column, False)) | texts.map(lambda column: (_escaped(column), True))
+    return st.dictionaries(st.text(), column, max_size=3).map(_marked_rows)
 
 
 _row_documents = st.recursive(
@@ -141,6 +158,7 @@ _row_documents = st.recursive(
 @example([cli.Rows({"table": [b"", b"", b""], "word": ["e", "a", "b"]}), cli.Rows({"t": [(), ()]})])  # n = 0
 @example([cli.Rows({"table": [b"\x00", b"\xff"], "u": [(-1,), (256,)], "word": ["a", "b"]})])  # n = 1
 @example(cli.Rows({"table": [b"\x02\x00\x01"], "u": [(7, -7)], "word": ["\u2218"]}))  # one row
+@example(cli.Rows({"table": [b"\x00", b"\x01"], "word": _escaped(["e", "a\u2218\x00\"\\"])}, ("word",)))
 def test_documents_with_rows_match_json_dumps_of_their_expansion(doc):
     assert cli._dumps(doc) == json.dumps(expand(doc), indent=2, sort_keys=True)
 
@@ -159,11 +177,16 @@ def test_documents_with_rows_match_json_dumps_of_their_expansion(doc):
         {"table": [b"\x00\x01", (1, 0)]},
         {"table": [(0, 1), b"\x01\x00"]},
         {"table": [b"\x00", bytearray(b"\x01")]},
+        cli.Rows({"word": ["e", None]}, ("word",)),
+        cli.Rows({"word": [(0, 1)], "table": [(0, 1)]}, ("word",)),
+        cli.Rows({"word": [b"e"]}, ("word",)),
+        cli.Rows({"table": [(0,), (1,)], "word": ["e", "a"]}, ("table",)),
     ],
 )
 def test_rows_of_other_kinds_raise_type_error(columns):
+    rows = columns if type(columns) is cli.Rows else cli.Rows(columns)
     with pytest.raises(TypeError):
-        cli._dumps({"members": cli.Rows(columns)})
+        cli._dumps({"members": rows})
 
 
 def test_rows_columns_of_different_lengths_are_refused():
@@ -221,9 +244,10 @@ def _block_edge_tables(length):
 @pytest.mark.parametrize("length", [cli._BLOCK - 1, cli._BLOCK, cli._BLOCK + 1, 2 * cli._BLOCK + 1])
 def test_emitted_blocks_join_to_json_dumps(length, capsys):
     words = [f"w{i}\u2218" * (i % 3) for i in range(length)]
+    escaped = _escaped(words[i] + "\x1f\"" * (i % 2) for i in range(length))
     for kind, tables in _block_edge_tables(length):
         doc = {
-            "members": cli.Rows({"word": words, "table": tables, "z": tables}),
+            "members": cli.Rows({"word": words, "table": tables, "z": tables, "escaped": escaped}, ("escaped",)),
             "tables": [list(range(-1, length - 1)), [True] * (length % 3)],
             "map": list(range(length)),
         }

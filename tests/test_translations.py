@@ -3,6 +3,7 @@ import json
 import random
 import re
 import tracemalloc
+from json.encoder import encode_basestring_ascii
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,7 @@ from ualgebra import (
 )
 from ualgebra.cli import main
 from ualgebra.errors import ArityMismatchError, OutOfCarrierError, SizeCapError, UAlgError
-from ualgebra.translations import SEMIGROUP_HARD_CAP, PrincipalDescriptor, semigroup_tree
+from ualgebra.translations import SEMIGROUP_HARD_CAP, PrincipalDescriptor, SemigroupTree, semigroup_tree
 
 from _oracles import (
     SIGNATURES,
@@ -34,6 +35,7 @@ from _oracles import (
     planted_algebra,
     s1_saturation_refinement,
 )
+from test_cli import run_cli
 
 Z2, Z3 = cyclic_group(2), cyclic_group(3)
 
@@ -211,15 +213,29 @@ def test_tree_reproduces_the_frozen_word_closure():
         assert all(p < i for i, p in enumerate(tree.parent) if i)
 
 
+def _closure_outcome(closure, X, cap):
+    """The number of members ``closure(X, cap)`` returns, or its cap error's message."""
+    try:
+        result = closure(X, cap)
+    except SizeCapError as exc:
+        return str(exc)
+    return len(result.tables if isinstance(result, SemigroupTree) else result)
+
+
 def test_tree_cap_matches_the_frozen_word_closure():
-    for X in (Z3, klein_four(), adjoined_infinity_monoid(3)):
+    """Every cap from 0 to |S| + 1: inside the identity's run (caps 1 to |S1|),
+    after it, and on both sides of the byte edge.  The word closure counts the
+    identity only once it finds a second member, so cap 0 is checked against
+    the level loop, which counts it first, as ``semigroup_tree`` does."""
+    algebras = (Z3, klein_four(), adjoined_infinity_monoid(3), CONSTANTS_ONLY, _random_binary(4))
+    refused = "1 translations found, cap 0 (--max-semigroup)"
+    for X in (*algebras, next(_boundary_algebras(257))):
         size = len(frozen_word_semigroup(X, cap=10**6))
-        with pytest.raises(SizeCapError) as expected:
-            frozen_word_semigroup(X, cap=size - 1)
-        with pytest.raises(SizeCapError) as got:
-            semigroup_tree(X, cap=size - 1)
-        assert str(got.value) == str(expected.value)
-        assert len(semigroup_tree(X, cap=size).tables) == size
+        assert _closure_outcome(semigroup_tree, X, 0) == _closure_outcome(frozen_semigroup_tree, X, 0) == refused
+        for cap in range(1, size + 2):
+            expected = _closure_outcome(frozen_word_semigroup, X, cap)
+            assert _closure_outcome(semigroup_tree, X, cap) == expected
+            assert expected == (size if cap >= size else f"{cap + 1} translations found, cap {cap} (--max-semigroup)")
 
 
 # Carriers on both sides of 256, where the closure switches from bytes to tuples.
@@ -249,6 +265,35 @@ def test_tree_matches_the_frozen_word_closure_at_the_byte_boundary(k):
         assert tree.parent == [-1] + [index[t.word[:-1]] for t in expected[1:]]
         assert tree.letter == [-1] + [letters[t.word[-1:]] for t in expected[1:]]
         assert tree.format_words() == [t.format_word() for t in expected]
+
+
+@st.composite
+def word_algebras(draw):
+    """k = 1..6 over f/2, f/2 u/1 c/0, u/1 v/1 or constants only, or t/3 at k <= 3."""
+    sig = draw(st.sampled_from([[("f", 2)], [("f", 2), ("u", 1), ("c", 0)], [("u", 1), ("v", 1)], [("c", 0)], [("t", 3)]]))
+    k = draw(st.integers(1, 3 if sig == [("t", 3)] else 6))
+    ops = {}
+    for name, arity in sig:
+        table = draw(st.lists(st.integers(0, k - 1), min_size=k**arity, max_size=k**arity))
+        ops[name] = table if arity else table[0]
+    return FiniteAlgebra(Signature(sig), k, ops)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(word_algebras() | st.sampled_from([next(_boundary_algebras(k)) for k in BOUNDARY_SIZES[1:]]))
+def test_json_words_are_the_escaped_text_words(X):
+    tree = semigroup_tree(X)
+    assert tree.format_words("\\u2218") == [encode_basestring_ascii(word)[1:-1] for word in tree.format_words()]
+
+
+def test_the_text_listing_composes_with_the_ring_operator(tmp_path):
+    X = next(_boundary_algebras(257))  # the chain: words of up to 256 letters
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(X.to_json_dict()))
+    code, out = run_cli(["translations", str(path)])
+    words = [line.split(" ⇒ ")[0] for line in out.splitlines()[2:]]
+    assert code == 0 and words == semigroup_tree(X).format_words()
+    assert words[:3] == ["e", "u", "u∘u"] and words[-1] == "∘".join(["u"] * 256)
 
 
 @pytest.mark.parametrize("k", BOUNDARY_SIZES[1:])
