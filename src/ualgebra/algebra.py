@@ -433,6 +433,14 @@ def _generated(X: FiniteAlgebra, seeds: Sequence[tuple[int, ...]]) -> Iterator[t
     argument tuples, in lexicographic order, that use a table of the round before.
     Tables are yielded when first found, so stopping early stops the closure.
 
+    Where an operation's table is unchanged by swapping arguments i and i+1
+    (:func:`_swap_invariant`), only the tuples c with c_i <= c_(i+1) are
+    applied.  The tables found, and their order, are the same as over every
+    tuple: sorting a skipped c within each run of such tied positions gives a
+    tuple with the same table, which uses the same tables as c (so a table of
+    the round before too) and comes earlier in lexicographic order.  It was
+    applied earlier in the same round, so c would have found nothing new.
+
     Each known table t is also held as the integer whose w-byte digits are its
     entries (w from :func:`_closure_width`), times each power of k below the
     largest arity.  For f of arity n the sum Σ int(t_i)·k^(n-i) has as digit j
@@ -456,13 +464,21 @@ def _generated(X: FiniteAlgebra, seeds: Sequence[tuple[int, ...]]) -> Iterator[t
         digits = partial(array, next(code for code in "HIL" if array(code).itemsize == w))
     weights = [k**p for p in range(max((arity for _, arity in ops), default=0))]
     weighted = [[int.from_bytes(digits(t), order) * weight for t in known] for weight in weights]
-    maps = [(_byte_map(X._tables[name]) if w == 1 else X._tables[name].__getitem__, arity) for name, arity in ops]
+    maps = [(_byte_map(X._tables[name]) if w == 1 else X._tables[name].__getitem__, arity, name) for name, arity in ops]
+    # ties[name][a]: the operation is unchanged by swapping the argument chosen
+    # with a arguments left and the next.  Checked in the first round with two
+    # tables known: with one there is one argument tuple, and nothing to skip.
+    ties: dict[str, list[bool]] = {}
+    untied = [False] * (len(weights) + 1)
     seen = set(known)
     start = 0
     while start < len(known):
         end = len(known)
-        for table_map, arity in maps:
-            for index in _index_sums(weighted, arity, start, end):
+        for table_map, arity, name in maps:
+            if end > 1 and name not in ties:
+                f = X._tables[name]
+                ties[name] = [False, False, *(_swap_invariant(f, k, arity, arity - a) for a in range(2, arity + 1))]
+            for index in _index_sums(weighted, ties.get(name, untied), arity, start, end):
                 if w == 1:
                     table = index.to_bytes(length, order).translate(table_map)
                 else:
@@ -477,18 +493,52 @@ def _generated(X: FiniteAlgebra, seeds: Sequence[tuple[int, ...]]) -> Iterator[t
         start = end
 
 
+def _swap_invariant(table: Sequence[int], k: int, arity: int, i: int) -> bool:
+    """Whether the row-major ``table`` of an operation of ``arity`` on k elements
+    is unchanged when arguments i and i+1 (from 0) are swapped.
+
+    The table is a run of k×k blocks of cells (x, y), each cell ``inner``
+    entries long.  A binary table, one block of one-entry cells, compares row
+    x right of the diagonal with column x below it.  Otherwise each block
+    compares cell (x, y) with cell (y, x) for x < y.  Stops at the first slice
+    that differs.
+    """
+    if arity == 2:
+        return all(table[x * k + x + 1 : x * k + k] == table[x * k + x + k :: k] for x in range(k))
+    inner = k ** (arity - i - 2)
+    step = k * inner  # from x to x + 1 in argument i
+    pairs = [(x * step + y * inner, y * step + x * inner) for x in range(k) for y in range(x + 1, k)]
+    return all(
+        table[o + p : o + p + inner] == table[o + q : o + q + inner]
+        for o in range(0, len(table), k * step)
+        for p, q in pairs
+    )
+
+
 def _index_sums(
-    weighted: Sequence[Sequence[int]], arity: int, start: int, end: int, base: int = 0, fresh: bool = False
+    weighted: Sequence[Sequence[int]],
+    ties: Sequence[bool],
+    arity: int,
+    start: int,
+    end: int,
+    base: int = 0,
+    fresh: bool = False,
+    low: int = 0,
 ) -> Iterator[int]:
     """``base + Σ weighted[arity-1-i][c_i]`` for each argument tuple c over
     ``range(end)`` with some c_i >= start (every c, once ``fresh``), in
-    lexicographic order."""
+    lexicographic order.  c_0 >= ``low``, and c_i <= c_(i+1) wherever
+    ``ties[arity - i]``: those tuples give the tables of the ones skipped
+    (see :func:`_generated`)."""
     column = weighted[arity - 1]
     if arity == 1:
-        yield from map(base.__add__, column[0 if fresh else start : end])
+        yield from map(base.__add__, column[max(low, 0 if fresh else start) : end])
         return
-    for c in range(end):
-        yield from _index_sums(weighted, arity - 1, start, end, base + column[c], fresh or c >= start)
+    tied = ties[arity]
+    for c in range(low, end):
+        yield from _index_sums(
+            weighted, ties, arity - 1, start, end, base + column[c], fresh or c >= start, c if tied else 0
+        )
 
 
 def subalgebra_generated(X: FiniteAlgebra, seed: Iterable[int]) -> Subalgebra:

@@ -127,7 +127,10 @@ def naive_semigroup_tables(X):
 
 def frozen_word_semigroup(X, cap):
     """The translation semigroup as one frozen ``Translation`` per member,
-    each word the tuple of its parent's word plus one generator."""
+    each word the tuple of its parent's word plus one generator.  The
+    identity counts toward ``cap`` like every other member."""
+    if cap < 1:
+        raise SizeCapError(f"1 translations found, cap {cap} (--max-semigroup)")
     k = X.size
     generators = principal_translations(X)
     identity = Translation(tuple(range(k)), ())

@@ -4,8 +4,10 @@ r"""Golden transcript of the command line: exit code and exact stdout per argv.
 ``translations`` on four more fixtures (plain and ``--json``), and of
 failing ``quotient`` calls whose partitions have two or more non-singleton
 blocks, so that the reported violation (translation, table and pair)
-cannot drift.  After a deliberate output change, regenerate
-it from the repository root with
+cannot drift.  It also pins ``clone``, ``malcev`` and ``subalgebra`` on
+fixtures whose operations are commutative, so that the closure's pruning of
+symmetric argument tuples cannot change what it finds.  After a deliberate
+output change, regenerate it from the repository root with
 
     PYTHONPATH=src:tests python -c "import json, test_cli_golden as g; g.GOLDEN.write_text(json.dumps([g.record(a) for a in g.ARGVS], indent=1) + '\n')"
 """
@@ -55,10 +57,18 @@ _CONGRUENCES = [("Z6", "0,2,4|1,3,5"), ("Z8", "0,4|1,5|2,6|3,7"), ("Sinf8", "0,4
 
 _TRANSLATIONS = [["translations", name] for name in ("V4", "Sinf3", "SL2", "Z6")]
 
+_SYMMETRIC_CLOSURES = [
+    ["clone", "Z5", "--json"],
+    ["clone", "Sinf4", "--json"],
+    ["malcev", "Sinf3", "--json"],
+    ["subalgebra", "Sinf7", "[2,5]", "--json"],
+]
+
 ARGVS = (
     [argv + flags for argv in _CRITERION_10 + _TRANSLATIONS for flags in ([], ["--json"])]
     + [["quotient", name, part, "--json"] for name, part in _NOT_CONGRUENCES + _CONGRUENCES]
     + [["quotient", name, part] for name, part in _NOT_CONGRUENCES[::3]]
+    + _SYMMETRIC_CLOSURES
 )
 
 

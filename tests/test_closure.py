@@ -7,6 +7,9 @@ The closure holds each table as an integer of w-byte digits, w = 1, 2 or 4,
 the fewest bytes that hold every row-major index below k^n for the largest
 arity n; on both sides of each width edge it must reproduce
 ``frozen_generated``, the tuple-table loop, table for table and in order.
+Where an operation is symmetric in adjacent arguments the closure applies it
+only to the argument tuples sorted there; it must still reproduce the frozen
+loop, and the number of tuples it applies is counted round by round.
 """
 
 import itertools
@@ -263,3 +266,169 @@ def test_large_clones_close_within_tier_one():
     assert len(clone_ternary_terms(cyclic_group(7))) == 7**3  # the affine maps ax + by + cz of Z7
     sinf5 = adjoined_infinity_monoid(5)  # six elements: all 216 clone tables are closed
     assert sinf5.size == 6 and not has_malcev_term(sinf5).ok
+
+
+# ---------------------------------------------------------------------------
+# argument tuples skipped where an operation is symmetric
+
+
+def _tied_table(cells, values, a, b):
+    """``values`` (one per cell) made unchanged by any permutation of arguments a..b-1:
+    each cell takes the value of the cell with those arguments sorted."""
+    index = {c: i for i, c in enumerate(cells)}
+    return [values[index[(*c[:a], *sorted(c[a:b]), *c[b:])]] for c in cells]
+
+
+def _first(tables, count=60):
+    """The first ``count`` tables of a closure: the binary clone of a random operation may be vast."""
+    return list(itertools.islice(tables, count))
+
+
+@st.composite
+def symmetric_algebras(draw):
+    """A binary operation on k <= 6 elements, commutative, or a ternary one on
+    k <= 3 symmetric in arguments 1-2 only, 2-3 only or all three; perhaps
+    with one cell flipped so that it is symmetric but for that cell, perhaps
+    with a unary operation and a constant beside it.  Also seed tables: binary
+    projections, random elements or none, and a cap on the clone."""
+    arity = draw(st.sampled_from([2, 3]))
+    k = draw(st.integers(1, 6 if arity == 2 else 3))
+    a, b = draw(st.sampled_from([(0, 2)] if arity == 2 else [(0, 2), (1, 3), (0, 3)]))
+    cells = list(itertools.product(range(k), repeat=arity))
+    values = draw(st.lists(st.integers(0, k - 1), min_size=k**arity, max_size=k**arity))
+    table = _tied_table(cells, values, a, b)
+    if k > 1 and draw(st.booleans()):
+        j = draw(st.sampled_from([j for j, c in enumerate(cells) if len(set(c[a:b])) > 1]))
+        table[j] = (table[j] + 1) % k
+    sig, ops = [("f", arity)], {"f": table}
+    if draw(st.booleans()):
+        sig.append(("u", 1))
+        ops["u"] = draw(st.lists(st.integers(0, k - 1), min_size=k, max_size=k))
+    if draw(st.booleans()):
+        sig.append(("c", 0))
+        ops["c"] = draw(st.integers(0, k - 1))
+    X = FiniteAlgebra(Signature(sig), k, ops)
+    seeds = draw(
+        st.sampled_from(
+            [
+                projection_tables((k, k)),
+                [(x,) for x in draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=3, unique=True))],
+                [],
+            ]
+        )
+    )
+    return X, seeds, draw(st.integers(0, 60))
+
+
+@settings(derandomize=True, max_examples=250, deadline=None)
+@given(symmetric_algebras())
+def test_symmetric_closure_matches_the_frozen_loop_on_drawn_algebras(case):
+    X, seeds, cap = case
+    assert _first(_generated(X, seeds)) == _first(frozen_generated(X, seeds)), (X, seeds)
+    _assert_closures_match(X, [[t[0] for t in seeds if len(t) == 1]], cap)
+
+
+def _symmetric_edge_algebra(k, arity, a, b):
+    """A random operation on k elements unchanged by permuting arguments a..b-1."""
+    rng = random.Random(k * 10 + a * 3 + b)
+    cells = list(itertools.product(range(k), repeat=arity))
+    table = _tied_table(cells, [rng.randrange(k) for _ in cells], a, b)
+    return FiniteAlgebra(Signature([("f", arity)]), k, {"f": table})
+
+
+@pytest.mark.parametrize(
+    "k, arity, a, b", [(16, 2, 0, 2), (17, 2, 0, 2), (6, 3, 0, 3), (7, 3, 0, 3), (6, 3, 0, 2), (7, 3, 1, 3)]
+)
+def test_symmetric_closure_matches_the_frozen_loop_at_the_byte_edge(k, arity, a, b, monkeypatch):
+    widths = _spy_widths(monkeypatch)
+    X = _symmetric_edge_algebra(k, arity, a, b)
+    rng = random.Random(k)
+    _assert_closures_match(X, [rng.sample(range(k), 2) for _ in range(3)], cap=60)
+    seeds = projection_tables((k, k))
+    assert _first(_generated(X, seeds)) == _first(frozen_generated(X, seeds))
+    assert set(widths) == {{16: 1, 6: 1, 17: 2, 7: 2}[k]}
+
+
+def _spy_rounds(monkeypatch):
+    """The list that collects, for each call of ``algebra._index_sums`` that
+    ``_generated`` makes (one per operation per round), its arity, start, end
+    and the number of argument tuples it yields."""
+    rounds = []
+    index_sums = algebra._index_sums
+
+    def spy(weighted, ties, arity, start, end, *rest):
+        if rest:  # a call one argument down, made by _index_sums itself
+            return index_sums(weighted, ties, arity, start, end, *rest)
+        rounds.append([arity, start, end, 0])
+
+        def counted(record=rounds[-1]):
+            for value in index_sums(weighted, ties, arity, start, end):
+                record[3] += 1
+                yield value
+
+        return counted()
+
+    monkeypatch.setattr(algebra, "_index_sums", spy)
+    return rounds
+
+
+def _ternary(k, fn):
+    table = tuple(itertools.starmap(fn, itertools.product(range(k), repeat=3)))
+    return FiniteAlgebra(Signature([("t", 3)]), k, {"t": table})
+
+
+def _differences(n):
+    """Z_n with m(x, y) = x - y in place of x + y: m is not commutative."""
+    ops = {"m": [(x - y) % n for x in range(n) for y in range(n)], "i": [(-x) % n for x in range(n)], "e": 0}
+    return FiniteAlgebra(cyclic_group(n).sig, n, ops)
+
+
+# (algebra, the argument positions i whose tuples need c_i <= c_(i+1)); each clone has 9 to 125 tables
+_TIED_CASES = {
+    "Z5": (cyclic_group(5), {0}),
+    "x-y on Z5": (_differences(5), set()),
+    "max(min(x,y),z)": (_ternary(3, lambda x, y, z: max(min(x, y), z)), {0}),
+    "min(x,max(y,z))": (_ternary(3, lambda x, y, z: min(x, max(y, z))), {1}),
+    "x+y+z": (_ternary(3, lambda x, y, z: (x + y + z) % 3), {0, 1}),
+    "x-y+z": (_ternary(3, lambda x, y, z: (x - y + z) % 3), set()),
+}
+
+
+@pytest.mark.parametrize("name", _TIED_CASES)
+def test_clone_composes_only_the_sorted_argument_tuples(name, monkeypatch):
+    """Work counted, not timed: each round applies an operation of arity n to
+    the tuples over range(end) that use a table of the round before (some
+    c_i >= start) and are sorted at the symmetric positions, and no others;
+    with no symmetric position that is every such tuple, end^n - start^n."""
+    X, tied = _TIED_CASES[name]
+    rounds = _spy_rounds(monkeypatch)
+    clone = clone_ternary_terms(X)
+    assert clone == list(_frozen_clone(X, CLONE_CAP))
+    assert any(start for _, start, _, _ in rounds)  # a round after the first
+    for arity, start, end, count in rounds:
+        expected = sum(
+            max(c) >= start and all(c[i] <= c[i + 1] for i in tied if i < arity - 1)
+            for c in itertools.product(range(end), repeat=arity)
+        )
+        assert count == expected, (arity, start, end)
+        if not tied or arity == 1:
+            assert count == end**arity - start**arity
+        elif arity == 2:
+            assert count == (end * (end + 1) - start * (start + 1)) // 2  # pairs c_0 <= c_1 with c_1 >= start
+
+
+def test_symmetry_is_checked_only_once_two_tables_are_known(monkeypatch):
+    """With one table known each operation has one argument tuple, so a closure
+    that ends there reads no table for symmetry; one that goes on checks each
+    operation once, however many rounds it takes."""
+    checks = []
+    swap_invariant = algebra._swap_invariant
+    monkeypatch.setattr(algebra, "_swap_invariant", lambda *a: checks.append(a[2:]) or swap_invariant(*a))
+    X = _min_chain(64, 2)
+    assert subalgebra_generated(X, [0]).members == (0,)
+    assert checks == []
+    assert subalgebra_generated(X, [3, 40]).members == (3, 40)
+    assert checks == [(2, 0)]
+    checks.clear()
+    assert len(clone_ternary_terms(_min_chain(3, 3))) == 7
+    assert checks == [(3, 1), (3, 0)]
