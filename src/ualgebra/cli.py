@@ -344,7 +344,7 @@ def cmd_translations(args) -> tuple[int, dict, Iterable[str]]:
         "algebra": args.algebra,
         "s1_size": len(tree.generators),
         "s_size": len(words),
-        "members": Rows({"table": tree.tables, "word": words}, ("word",) if args.json else ()),
+        "members": Members(tree.tables, words),
     }
     lines = (f"{word} ⇒ [{','.join(map(str, table))}]" for word, table in zip(words, tree.tables))
     return 0, payload, chain([f"|S1| = {len(tree.generators)}", f"|S| = {len(words)}"], lines)
@@ -585,64 +585,28 @@ def _plain_args(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(**args)
 
 
-class Rows(NamedTuple):
-    """A JSON array of objects held column-wise: row i is ``{key: columns[key][i]}``.
+class Members(NamedTuple):
+    """The ``members`` array of ``translations --json``: row i is the object
+    ``{"table": tables[i], "word": words[i]}``.
 
-    Every column has one entry per row, and holds only str, only tuples of
-    int, or only ``bytes``, whose entries are the ints 0-255 they hold.  The
-    columns whose keys are in ``escaped`` hold only str already in JSON
-    string form, ``encode_basestring_ascii(text)[1:-1]``: they are written
-    between quotes as they are.  ``_write_json`` writes a ``Rows`` a block of
-    rows at a time, cell by cell; ``json.dumps`` would take it for a list
-    holding the dict of columns.
+    ``_write_json`` takes it as ``cmd_translations`` builds it and checks
+    none of this: there is at least one row; the tables all have one length
+    n >= 1 and are all ``bytes`` (k <= 256) or all tuples of int (k > 256);
+    each word is already in JSON string form,
+    ``encode_basestring_ascii(text)[1:-1]``, as
+    ``SemigroupTree.format_words("\\u2218")`` gives it.  ``json.dumps``
+    would take a ``Members`` for a list of its two lists.
     """
 
-    columns: dict[str, list]
-    escaped: tuple[str, ...] = ()
+    tables: list[bytes] | list[tuple[int, ...]]
+    words: list[str]
 
 
-# Rows of a ``Rows``, or ints of an all-int list, per ``write``: it bounds what the writer holds.
+# Rows of a ``Members``, or ints of an all-int list, per ``write``: it bounds what the writer holds.
 _BLOCK = 256
 
 # The text of each byte value: ``list.__getitem__`` maps twice as fast as a tuple's.
 _DECIMALS = list(map(str, range(256)))
-
-
-def _column_cells(column: list, newline: str, escaped: bool) -> tuple[list[str], list[Iterable[str]]]:
-    """``(texts, cells)``: entry i of the block ``column`` of a ``Rows``, at the
-    indent ``newline`` carries, is ``texts[0] + cells[0][i] + texts[1] + ...
-    + texts[-1]``.  ``escaped`` marks a column of str in JSON string form.
-
-    A block of int sequences that all have length n gives n cells, one per
-    position: its ints are mapped to text in one pass, ``bytes`` through
-    ``_DECIMALS``, and cut into positions by strided slices.  A str block,
-    or one whose entries differ in length, gives one cell: each entry's
-    whole text, the latter by one ``%`` template of ``%d`` fields per length.
-    An escaped block is its own cell, between quotes, with no escape pass.
-    """
-    kinds = set(map(type, column))
-    if escaped:
-        if kinds <= {str}:
-            return ['"', '"'], [column]
-        raise TypeError("an escaped Rows column must hold only str")
-    if kinds <= {str}:
-        return ["", ""], [map(encode_basestring_ascii, column)]
-    if kinds == {bytes}:
-        flat, decimal_text = b"".join(column), _DECIMALS.__getitem__
-    elif kinds == {tuple} and set(map(type, flat := tuple(chain.from_iterable(column)))) <= {int}:
-        decimal_text = int.__repr__
-    else:
-        raise TypeError("a Rows column must hold only str, only tuples of int or only bytes")
-    inner = newline + "  "
-    lengths = set(map(len, column))
-    if len(lengths) > 1:
-        templates = {n: "[" + inner + ("," + inner).join(["%d"] * n) + newline + "]" if n else "[]" for n in lengths}
-        return ["", ""], [[templates[len(entry)] % tuple(entry) for entry in column]]
-    (n,) = lengths
-    if not n:
-        return ["[]"], []
-    texts = list(map(decimal_text, flat))
-    return ["[" + inner, *["," + inner] * (n - 1), newline + "]"], [texts[p::n] for p in range(n)]
 
 
 def _write_json(value, newline: str, write: Callable[[str], object]) -> None:
@@ -653,14 +617,16 @@ def _write_json(value, newline: str, write: Callable[[str], object]) -> None:
     CPython's C encoder does not take ``indent``, so ``json.dumps`` falls
     back to its pure-Python one; this writer does less per value.  It takes
     only what payloads hold: str-keyed dicts, lists, str, int, bool, None
-    and ``Rows``.  A ``Rows`` is written as the array of objects it stands
-    for, ``_BLOCK`` rows per ``write``.  A block is one ``"".join`` of a list
-    laid out row by row: the static text of a row (each key's header, the
-    brackets, quotes and separators) is built once per block, and the texts
-    of each cell position, from ``_column_cells``, are spliced in by one
-    strided slice assignment; an escaped column's str go in as they are.
-    An all-int list is written ``_BLOCK`` ints per ``write``, so no listing
-    is ever held as one string.
+    and ``Members``.  A ``Members`` is written as the array of objects it
+    stands for, ``_BLOCK`` rows per ``write``, and its inputs are not
+    checked (see ``Members``).  A block is one ``"".join`` of a list laid
+    out row by row: the static text of a row (keys, brackets, quotes and
+    separators) is built once, the block's table entries are mapped to
+    decimal text in one pass (``bytes`` through ``_DECIMALS``), each table
+    position is spliced in by one strided slice assignment, and the words
+    go in between quotes as they are.  An all-int list is written
+    ``_BLOCK`` ints per ``write``, so no listing is ever held as one
+    string.
     """
     kind = type(value)
     if kind is str:
@@ -699,49 +665,35 @@ def _write_json(value, newline: str, write: Callable[[str], object]) -> None:
             _write_json(value[key], inner, write)
             sep = "," + inner
         write(newline + "}")
-    elif kind is Rows:
-        columns = value.columns
-        if not all(type(key) is str for key in columns):
-            raise TypeError("JSON object keys must be str")
-        if len({len(column) for column in columns.values()}) > 1:
-            raise ValueError("Rows columns differ in length")
-        if not columns or not next(iter(columns.values())):
-            write("[]")
-            return
-        inner, field = newline + "  ", newline + "    "
-        keys = sorted(columns)
-        heads = [("," if i else "{") + field + encode_basestring_ascii(key) + ": " for i, key in enumerate(keys)]
-        sep, size = "[" + inner, len(columns[keys[0]])
-        for start in range(0, size, _BLOCK):
-            texts, cells = [""], []
-            for key, head in zip(keys, heads):
-                block = columns[key][start : start + _BLOCK]
-                column_texts, column_cells = _column_cells(block, field, key in value.escaped)
-                texts[-1] += head + column_texts[0]
-                texts += column_texts[1:]
-                cells += column_cells
-            last = texts[-1] + inner + "}"
-            texts[-1] = last + "," + inner
-            width = 2 * len(cells) + 1
-            row = [""] * width
-            row[::2] = texts
-            parts = row * min(_BLOCK, size - start)
-            for q, cell in enumerate(cells):
-                parts[2 * q + 1 :: width] = cell
-            parts[-1] = last
+    elif kind is Members:
+        tables, words = value
+        n, inner, field = len(tables[0]), newline + "  ", newline + "    "
+        flatten, decimal_text = (
+            (b"".join, _DECIMALS.__getitem__) if type(tables[0]) is bytes else (chain.from_iterable, int.__repr__)
+        )
+        entry, last, width = field + "  ", '"' + inner + "}", 2 * n + 3
+        row = [""] * width  # table positions at 1, 3, ..., 2n - 1, the word at 2n + 1
+        row[::2] = [
+            "{" + field + '"table": [' + entry,
+            *["," + entry] * (n - 1),
+            field + "]," + field + '"word": "',
+            last + "," + inner,
+        ]
+        sep = "[" + inner
+        for start in range(0, len(tables), _BLOCK):
+            block = tables[start : start + _BLOCK]
+            texts = list(map(decimal_text, flatten(block)))
+            parts = row * len(block)
+            for p in range(n):
+                parts[2 * p + 1 :: width] = texts[p::n]
+            parts[2 * n + 1 :: width] = words[start : start + _BLOCK]
             parts[0] = sep + parts[0]
+            parts[-1] = last
             write("".join(parts))
             sep = "," + inner
         write(newline + "]")
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-
-
-def _dumps(value) -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte."""
-    out: list[str] = []
-    _write_json(value, "\n", out.append)
-    return "".join(out)
 
 
 def _emit(as_json: bool, command: str, code: int, payload: dict, human: Iterable[str]) -> None:

@@ -1,10 +1,11 @@
 """The ``--json`` writer against ``json.dumps(indent=2, sort_keys=True)``.
 
-``cli._dumps`` must give the same bytes on every document a command emits,
-its error object included, and on generated documents of the same kinds
-of value.  A ``cli.Rows`` must print as the array of objects it stands for.
-It raises ``TypeError`` on any other kind.  ``cli._emit`` writes a document
-in blocks of ``cli._BLOCK`` rows or ints; the blocks must join to the same
+``cli._write_json`` must give the same bytes on every document a command
+emits, its error object included, and on generated documents of the same
+kinds of value.  A ``cli.Members`` must print as the array of
+``{"table", "word"}`` objects it stands for, at any indent.  The writer
+raises ``TypeError`` on any other kind.  ``cli._emit`` writes a document in
+blocks of ``cli._BLOCK`` rows or ints; the blocks must join to the same
 bytes, and its peak memory must not grow with the length of a listing.
 """
 
@@ -44,15 +45,18 @@ CALLS = {
 }
 
 
+def _dumps(value):
+    """What ``cli._write_json`` writes for ``value`` as a whole document."""
+    out = []
+    cli._write_json(value, "\n", out.append)
+    return "".join(out)
+
+
 def expand(value):
-    """``value`` with every ``cli.Rows`` replaced by its list of dicts, the str
-    of its escaped columns unescaped, and tuples and bytes by lists."""
-    if type(value) is cli.Rows:
-        columns = [
-            [json.loads(f'"{text}"') for text in column] if key in value.escaped else column
-            for key, column in value.columns.items()
-        ]
-        return [dict(zip(value.columns, map(expand, row))) for row in zip(*columns)]
+    """``value`` with every ``cli.Members`` replaced by its list of dicts, its
+    words unescaped, and tuples and bytes by lists."""
+    if type(value) is cli.Members:
+        return [{"table": expand(table), "word": json.loads(f'"{word}"')} for table, word in zip(*value)]
     if isinstance(value, (list, tuple, bytes)):
         return [expand(x) for x in value]
     if isinstance(value, dict):
@@ -84,7 +88,7 @@ def test_command_documents_match_json_dumps(command, monkeypatch, capsys):
     assert codes[-1] in (2, 3)
     assert [("error" in doc) for doc in documents] == [code >= 2 for code in codes]
     for doc in documents:
-        assert cli._dumps(doc) == json.dumps(expand(doc), indent=2, sort_keys=True)
+        assert _dumps(doc) == json.dumps(expand(doc), indent=2, sort_keys=True)
 
 
 # Large ints, control characters and non-ASCII text, and bools inside int lists.
@@ -99,99 +103,62 @@ _documents = st.recursive(
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(_documents)
 def test_generated_documents_match_json_dumps(doc):
-    assert cli._dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
+    assert _dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
 
 def test_strings_are_escaped_to_ascii():
     doc = {"word": "m@1(1)∘i", "ctl": "\x00\x1f\"\\", "astral": "\U0001d400"}
-    text = cli._dumps(doc)
+    text = _dumps(doc)
     assert text == json.dumps(doc, indent=2, sort_keys=True)
     assert "\\u2218" in text and text.isascii()
 
 
 def test_bools_in_int_lists_print_as_json_literals():
-    assert cli._dumps([0, True, -1, False]) == "[\n  0,\n  true,\n  -1,\n  false\n]"
+    assert _dumps([0, True, -1, False]) == "[\n  0,\n  true,\n  -1,\n  false\n]"
 
 
 @pytest.mark.parametrize("value", [1.5, (1, 2), [0, 0.5], {"a": (1,)}, {1: 2}, [[{"x": 1e9}]]])
 def test_other_kinds_raise_type_error(value):
     with pytest.raises(TypeError):
-        cli._dumps(value)
+        _dumps(value)
 
 
 def _escaped(texts):
-    """``texts`` in JSON string form, as an escaped ``Rows`` column holds them."""
+    """``texts`` in JSON string form, as ``cli.Members`` holds its words."""
     return [encode_basestring_ascii(text)[1:-1] for text in texts]
 
 
-def _marked_rows(columns):
-    """``Rows`` of ``{key: (column, escaped)}``: the columns, the escaped ones marked."""
-    escaped = tuple(key for key, (_, marked) in columns.items() if marked)
-    return cli.Rows({key: column for key, (column, _) in columns.items()}, escaped)
+# Words hold the text of translation words and every character the escape pass changes.
+_words = st.text(st.sampled_from("\u2218\"\\\x00\x1f\x7f\u00e9\U0001d400e@(1,)") | st.characters(), max_size=8)
 
 
-def _rows(n):
-    """``Rows`` of ``n`` rows: str, int-tuple, bytes and escaped str columns, empty tuples and bytes included."""
-    texts = st.lists(st.text(), min_size=n, max_size=n)
-    column = (
-        texts
-        | st.lists(
-            st.lists(st.integers(min_value=-(10**30), max_value=10**30), max_size=4).map(tuple), min_size=n, max_size=n
-        )
-        | st.lists(st.binary(max_size=4), min_size=n, max_size=n)
-    ).map(lambda column: (column, False)) | texts.map(lambda column: (_escaped(column), True))
-    return st.dictionaries(st.text(), column, max_size=3).map(_marked_rows)
+@st.composite
+def _members(draw):
+    """A ``cli.Members`` of 1-3 rows: tables all ``bytes`` or all tuples, of one length 1-6."""
+    rows, n = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        tables = draw(st.lists(st.binary(min_size=n, max_size=n), min_size=rows, max_size=rows))
+    else:
+        entries = st.integers(0, 255) | st.integers(256, 10**12)
+        tables = draw(st.lists(st.tuples(*[entries] * n), min_size=rows, max_size=rows))
+    return cli.Members(tables, _escaped(draw(st.lists(_words, min_size=rows, max_size=rows))))
 
 
-_row_documents = st.recursive(
-    _scalars | st.integers(min_value=0, max_value=4).flatmap(_rows),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
-    max_leaves=6,
+_member_documents = st.recursive(
+    _members(),
+    lambda inner: st.lists(inner, min_size=1, max_size=2) | st.dictionaries(st.text(), inner, min_size=1, max_size=2),
+    max_leaves=3,
 )
 
 
-@settings(derandomize=True, max_examples=100, deadline=None)
-@given(_row_documents)
-@example({"members": cli.Rows({"word": ["e", "m@1(1)\u2218i", "\x00\x1f\"\\"], "\U0001d400": [(), (0,), (1, -2)]})})
-@example([cli.Rows({}), cli.Rows({"a": []}), cli.Rows({"\x07": ["\u00e9"]})])
-@example({"members": cli.Rows({"table": [b"", b"\x00", b"\xff\x01\x7f"], "word": ["e", "a", "b"]})})
-@example([cli.Rows({"table": [b"", b"", b""], "word": ["e", "a", "b"]}), cli.Rows({"t": [(), ()]})])  # n = 0
-@example([cli.Rows({"table": [b"\x00", b"\xff"], "u": [(-1,), (256,)], "word": ["a", "b"]})])  # n = 1
-@example(cli.Rows({"table": [b"\x02\x00\x01"], "u": [(7, -7)], "word": ["\u2218"]}))  # one row
-@example(cli.Rows({"table": [b"\x00", b"\x01"], "word": _escaped(["e", "a\u2218\x00\"\\"])}, ("word",)))
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_member_documents)
+@example(cli.Members([b"\x00"], ["e"]))
+@example({"members": cli.Members([b"\x02\x00\x01", b"\xff\x7f\x00"], _escaped(["e", "m@1(1)\u2218i\x00\"\\"]))})
+@example([cli.Members([(256, 0), (1000, 2**40)], _escaped(["\U0001d400", "\x1f"]))])
+@example({"a": [{"b": cli.Members([tuple(range(300)), tuple(range(299, -1, -1))], ["e", "u"])}]})  # n >= 257
 def test_documents_with_rows_match_json_dumps_of_their_expansion(doc):
-    assert cli._dumps(doc) == json.dumps(expand(doc), indent=2, sort_keys=True)
-
-
-@pytest.mark.parametrize(
-    "columns",
-    [
-        {"table": [(0, 1), (1, True)]},
-        {"table": [(False,)]},
-        {"table": [(0, 1), (0.5, 1)]},
-        {"table": [(0, 1), [1, 0]]},
-        {"mixed": ["e", (0,)]},
-        {"word": ["e", None]},
-        {1: ["e"]},
-        {"word": ["e"], ("t",): [(0,)]},
-        {"table": [b"\x00\x01", (1, 0)]},
-        {"table": [(0, 1), b"\x01\x00"]},
-        {"table": [b"\x00", bytearray(b"\x01")]},
-        cli.Rows({"word": ["e", None]}, ("word",)),
-        cli.Rows({"word": [(0, 1)], "table": [(0, 1)]}, ("word",)),
-        cli.Rows({"word": [b"e"]}, ("word",)),
-        cli.Rows({"table": [(0,), (1,)], "word": ["e", "a"]}, ("table",)),
-    ],
-)
-def test_rows_of_other_kinds_raise_type_error(columns):
-    rows = columns if type(columns) is cli.Rows else cli.Rows(columns)
-    with pytest.raises(TypeError):
-        cli._dumps({"members": rows})
-
-
-def test_rows_columns_of_different_lengths_are_refused():
-    with pytest.raises(ValueError):
-        cli._dumps(cli.Rows({"table": [(0,)], "word": []}))
+    assert _dumps(doc) == json.dumps(expand(doc), indent=2, sort_keys=True)
 
 
 def _translations_algebras(tmp_path):
@@ -233,21 +200,19 @@ def _emitted(doc, capsys):
 
 
 def _block_edge_tables(length):
-    """(kind of table column, its entries) for a listing of ``length`` rows."""
+    """(kind of table, the tables) for a listing of ``length`` rows: each of one length."""
     for kind in (tuple, bytes):
-        yield kind, [kind(range(i % 4)) for i in range(length)]  # lengths vary; every fourth is empty
-        yield kind, [kind((i + 37 * j) % 256 for j in range(6)) for i in range(length)]  # one length; 0-255
-        yield kind, [kind(range(3 if i < cli._BLOCK else i % 4)) for i in range(length)]  # one length, then several
+        yield kind, [kind((i + 37 * j) % 256 for j in range(6)) for i in range(length)]  # 0-255
+        yield kind, [kind((i % 256,)) for i in range(length)]  # n = 1
     yield tuple, [tuple((i - 300) * (j + 1) for j in range(5)) for i in range(length)]  # below 0 and above 255
 
 
 @pytest.mark.parametrize("length", [cli._BLOCK - 1, cli._BLOCK, cli._BLOCK + 1, 2 * cli._BLOCK + 1])
 def test_emitted_blocks_join_to_json_dumps(length, capsys):
-    words = [f"w{i}\u2218" * (i % 3) for i in range(length)]
-    escaped = _escaped(words[i] + "\x1f\"" * (i % 2) for i in range(length))
+    words = _escaped(f"w{i}\u2218" * (i % 3) + "\x1f\"" * (i % 2) for i in range(length))
     for kind, tables in _block_edge_tables(length):
         doc = {
-            "members": cli.Rows({"word": words, "table": tables, "z": tables, "escaped": escaped}, ("escaped",)),
+            "members": cli.Members(tables, words),
             "tables": [list(range(-1, length - 1)), [True] * (length % 3)],
             "map": list(range(length)),
         }
@@ -270,9 +235,9 @@ class _CountingSink:
 
 def _emit_peak(rows, monkeypatch):
     """tracemalloc's peak over ``_emit`` of a ``translations`` listing of ``rows`` members."""
-    words = [f"m@{i % 3}({i % 7})\u2218i" for i in range(rows)]
+    words = [f"m@{i % 3}({i % 7})\\u2218i" for i in range(rows)]
     tables = [tuple((i + j) % 1000 for j in range(6)) for i in range(rows)]
-    payload = {"members": cli.Rows({"table": tables, "word": words})}
+    payload = {"members": cli.Members(tables, words)}
     sink = _CountingSink()
     monkeypatch.setattr(sys, "stdout", sink)
     tracemalloc.start()
