@@ -66,9 +66,10 @@ def _algebra(name: str) -> FiniteAlgebra:
     """The built-in fixture ``name``, or the algebra in the JSON file at that path.
 
     A fixture name wins over a file of the same name (write ``./Z4`` for the
-    file).  The path must name a regular file, or a symlink to one: a missing
-    path, a directory or a FIFO is an unknown algebra, refused without opening
-    it.  Any other stat error (a path that cannot be searched, say) is raised.
+    file).  The path must name a regular file, or a symlink to one: one
+    ``os.stat`` checks it before anything is opened, so a missing path, a
+    directory or a FIFO is an unknown algebra, refused without opening it.
+    Any other stat error (a path that cannot be searched, say) is raised.
     """
     fixture = fixtures.get_fixture(name)
     if fixture is not None:
@@ -100,14 +101,29 @@ def _json(text: str, what: str, error: type[UAlgError] = UAlgError):
 def _read_file(path: str) -> str:
     """The text of the file at ``path``, read as UTF-8 with universal newlines.
 
-    Bytes that are not UTF-8 are a FormatError naming the file and the byte
-    offset.  An OSError names ``path`` as given, not a normalised form.
+    One raw ``os.open``, ``os.read`` in 64 KiB chunks until EOF (a FIFO is
+    read as a stream, so no size is trusted), and one decode of the whole
+    file; then ``\\r\\n`` and a lone ``\\r`` become ``\\n``, as text mode reads
+    them.  A BOM is kept.  Bytes that are not UTF-8 are a FormatError naming
+    the file and the byte offset in it.  An OSError names ``path`` as given,
+    not a normalised form; a directory is an IsADirectoryError.
     """
+    if "\0" in path:  # open()'s wording; os.open names itself in it from Python 3.13
+        raise ValueError("embedded null byte")
+    fd = os.open(path, os.O_RDONLY | os.O_CLOEXEC)
     try:
-        with open(path, encoding="utf-8") as file:
-            return file.read()
+        chunks = []
+        while chunk := os.read(fd, 1 << 16):
+            chunks.append(chunk)
+    except IsADirectoryError:  # os.read names no file
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path) from None
+    finally:
+        os.close(fd)
+    try:
+        text = b"".join(chunks).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"file '{path}' is not UTF-8: {exc.reason} at byte {exc.start}") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _read_arg(text: str) -> str:

@@ -16,7 +16,7 @@ from typing import Iterable
 from .check import Check
 from .errors import NotACongruenceError, OutOfCarrierError, SizeCapError, SizeMismatchError
 from .partitions import Partition, _closure
-from .translations import principal_translations
+from .translations import PrincipalDescriptor, Translation, _principal_tables
 
 PARTITION_ENUM_CAP = 4140
 
@@ -59,16 +59,16 @@ def is_congruence_via_translations(X, part: Partition) -> Check:
     member.  Witness on failure: ``(translation, (a, x))`` — the first
     violating principal translation (canonical order) and the least pair it
     separates; if it separates x < y in a block, it separates (a, x) or (a, y).
+    The witness ``Translation`` is built only on failure.
     """
     if part.size != X.size:
         raise SizeMismatchError(f"partition size {part.size} != carrier size {X.size}")
     block = part.block_of
     pairs = [(members[0], x) for members in part.blocks() for x in members[1:]]  # ascending
-    for tr in principal_translations(X):
-        t = tr.table
+    for t, first in _principal_tables(X).items():
         found = [(a, x) for a, x in pairs if block[t[a]] != block[t[x]]]
         if found:
-            return Check(False, (tr, found[0]))
+            return Check(False, (Translation(t, (PrincipalDescriptor(*first),)), found[0]))
     return Check(True)
 
 
@@ -82,7 +82,7 @@ def congruence_generated(X, pairs: Iterable[tuple[int, int]]) -> Partition:
     for a, b in pairs:
         if not (0 <= a < X.size and 0 <= b < X.size):
             raise OutOfCarrierError(f"pair ({a},{b}) outside carrier of size {X.size}")
-    return _closure(X.size, pairs, [t.table for t in principal_translations(X)])
+    return _closure(X.size, pairs, list(_principal_tables(X)))
 
 
 def all_congruences(X, max_partitions: int = PARTITION_ENUM_CAP) -> list[Partition]:
@@ -104,7 +104,7 @@ def all_congruences(X, max_partitions: int = PARTITION_ENUM_CAP) -> list[Partiti
             f"carrier of size {k} has {pairs} principal pairs, "
             f"cap {max_partitions} (--max-partitions)"
         )
-    tables = [t.table for t in principal_translations(X)]
+    tables = list(_principal_tables(X))
     principal: dict[Partition, tuple[int, int]] = {}  # Cg(a, b) -> its first pair
     for a, b in itertools.combinations(range(k), 2):
         principal.setdefault(_closure(k, [(a, b)], tables), (a, b))
@@ -141,7 +141,7 @@ def largest_congruence_below(X, part: Partition) -> Partition:
     """
     if part.size != X.size:
         raise SizeMismatchError(f"partition size {part.size} != carrier size {X.size}")
-    tables = [t.table for t in principal_translations(X)]
+    tables = list(_principal_tables(X))
     while True:
         block = part.block_of
         finer = Partition(list(zip(block, *([block[v] for v in t] for t in tables))))

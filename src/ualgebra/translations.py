@@ -54,18 +54,30 @@ class Translation:
         return "∘".join(d.format() for d in reversed(self.word))
 
 
-def principal_translations(X) -> list[Translation]:
-    """All principal translations, deduplicated by table (first word kept).
+def _principal_tables(X) -> dict[tuple[int, ...], tuple[str, int, tuple[int, ...]]]:
+    """Each distinct principal-translation table -> the ``(symbol, slot, fixed)`` that first gives it.
 
     The tables are the slices of :meth:`FiniteAlgebra.translation_tables`, in
-    symbol declaration order, then slot, then fixed tuple; constants give none.
+    symbol declaration order, then slot, then fixed tuple, and the dict keeps
+    the first occurrence of each in that order; constants give none.  The
+    congruence routines read the tables alone, so they build no descriptor.
     """
-    out: dict[tuple[int, ...], Translation] = {}
+    out: dict[tuple[int, ...], tuple[str, int, tuple[int, ...]]] = {}
     for name, _ in X.sig:
         for slot, fixed, table in X.translation_tables(name):
             if table not in out:
-                out[table] = Translation(table, (PrincipalDescriptor(name, slot, fixed),))
-    return list(out.values())
+                out[table] = (name, slot, fixed)
+    return out
+
+
+def principal_translations(X) -> list[Translation]:
+    """All principal translations, deduplicated by table (first word kept).
+
+    One ``Translation`` per entry of ``_principal_tables(X)``, in its order,
+    with the one-letter word of the ``(symbol, slot, fixed)`` that first gives
+    the table.
+    """
+    return [Translation(table, (PrincipalDescriptor(*first),)) for table, first in _principal_tables(X).items()]
 
 
 class SemigroupTree(NamedTuple):

@@ -5,7 +5,7 @@ deliberately sharing no algorithmic route with the library: set partitions
 are enumerated recursively (not as restricted-growth strings), semigroup,
 clone and subalgebra closures run as repeated full passes over raw tables, the
 largest-congruence oracle filters the whole congruence lattice, and terms
-are evaluated one assignment at a time by recursion.  Nine are exceptions,
+are evaluated one assignment at a time by recursion.  Twelve are exceptions,
 routes the library used before, kept as the references it must reproduce
 exactly: ``frozen_word_semigroup``, the closure loop that the translation
 semigroup used before it kept its members as a tree;
@@ -22,9 +22,14 @@ subalgebras and the clone used before they composed in bytes;
 operation before small ones were applied in bytes; ``frozen_closure``,
 the union-find forest with path compression that generated every
 congruence, join and equivalence closure before the closure kept one block
-label per element; and ``frozen_algebra`` with ``frozen_read_file``, the
+label per element; ``frozen_algebra`` with ``frozen_read_file``, the
 pathlib loader that read algebra files and ``@path`` arguments before the
-command line read them with one plain ``open()``.
+command line read them with one plain ``open()``; ``frozen_open_read_file``,
+that text-mode ``open()``, before the command line read files with raw
+``os.read``; and ``frozen_is_congruence_via_translations`` with
+``frozen_principal_translations``, the translation congruence test as it ran
+over one ``Translation`` per principal table, before the congruence routines
+read the tables alone.
 """
 
 import itertools
@@ -41,7 +46,7 @@ from ualgebra.algebra import TABLE_CAP
 from ualgebra.cli import _json
 from ualgebra.errors import ArityMismatchError, FormatError, OutOfCarrierError, SizeCapError, SizeMismatchError
 from ualgebra.errors import UAlgError
-from ualgebra.translations import SemigroupTree
+from ualgebra.translations import PrincipalDescriptor, SemigroupTree
 
 
 def naive_partitions(n):
@@ -595,3 +600,41 @@ def frozen_algebra(name: str) -> FiniteAlgebra:
     if Path(name).is_file():
         return FiniteAlgebra.from_json_dict(_json(frozen_read_file(name), f"algebra file '{name}'", FormatError))
     raise UAlgError(f"unknown algebra '{name}' (not a fixture name or readable file)")
+
+
+def frozen_open_read_file(path: str) -> str:
+    """The text of the file at ``path`` through one text-mode ``open()``, read as
+    UTF-8 with universal newlines; other bytes are a FormatError naming the
+    file.  An OSError names the path as given."""
+    try:
+        with open(path, encoding="utf-8") as file:
+            return file.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"file '{path}' is not UTF-8: {exc.reason} at byte {exc.start}") from None
+
+
+def frozen_principal_translations(X) -> list[Translation]:
+    """``principal_translations`` as it built one ``Translation`` per distinct
+    table while it read the slices of ``X.translation_tables``."""
+    out: dict[tuple[int, ...], Translation] = {}
+    for name, _ in X.sig:
+        for slot, fixed, table in X.translation_tables(name):
+            if table not in out:
+                out[table] = Translation(table, (PrincipalDescriptor(name, slot, fixed),))
+    return list(out.values())
+
+
+def frozen_is_congruence_via_translations(X, part: Partition) -> Check:
+    """The principal-translation congruence test over ``frozen_principal_translations``:
+    each element is compared with its block's least member, and the witness
+    is the first violating ``Translation`` with the least pair it separates."""
+    if part.size != X.size:
+        raise SizeMismatchError(f"partition size {part.size} != carrier size {X.size}")
+    block = part.block_of
+    pairs = [(members[0], x) for members in part.blocks() for x in members[1:]]  # ascending
+    for tr in frozen_principal_translations(X):
+        t = tr.table
+        found = [(a, x) for a, x in pairs if block[t[a]] != block[t[x]]]
+        if found:
+            return Check(False, (tr, found[0]))
+    return Check(True)

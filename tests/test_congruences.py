@@ -1,4 +1,8 @@
+import random
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ualgebra import (
     Partition,
@@ -18,7 +22,10 @@ from ualgebra import (
     Signature,
 )
 from ualgebra.errors import NotACongruenceError, SizeCapError, SizeMismatchError
-from _oracles import naive_congruence_labelings, naive_largest_congruence_below
+from ualgebra.translations import _principal_tables, principal_translations
+from _oracles import frozen_is_congruence_via_translations, frozen_principal_translations
+from _oracles import naive_congruence_labelings, naive_largest_congruence_below, naive_principal_translations
+from _oracles import planted_algebra
 
 Z4 = cyclic_group(4)
 Z6 = cyclic_group(6)
@@ -192,3 +199,50 @@ def test_counterexamples_are_least():
                         candidates.append((cxs + cys, Z4.sig.index(name), name, cxs, cys))
     best = min(candidates)
     assert (symbol, xs, ys) == (best[2], best[3], best[4])
+
+
+TABLE_SIGNATURES = (
+    Signature([("f", 2)]),
+    Signature([("f", 2), ("u", 1), ("c", 0)]),
+    Signature([("u", 1), ("v", 1)]),
+    Signature([("t", 3)]),
+    Signature([("c", 0), ("d", 0)]),
+)
+
+
+@st.composite
+def algebras_and_partitions(draw):
+    """An algebra on k = 1..6 elements over one of ``TABLE_SIGNATURES`` with a
+    congruence of 1..k blocks planted in it (k blocks: any algebra), and
+    either that congruence or a drawn partition."""
+    k = draw(st.integers(1, 6))
+    sig = draw(st.sampled_from(TABLE_SIGNATURES))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    X, labels = planted_algebra(rng, k, draw(st.integers(1, k)), sig)
+    if draw(st.booleans()):
+        labels = draw(st.lists(st.integers(0, k - 1), min_size=k, max_size=k))
+    return X, Partition(labels)
+
+
+def _last_argument_shift(sig, k):
+    """Each operation of ``sig`` as x -> x + 1 mod k of its last argument: every
+    translation of another slot is constant, so a witness comes from the last."""
+    ops = {name: tuple((i + 1) % k for i in range(k)) * k ** (arity - 1) if arity else 0 for name, arity in sig}
+    return FiniteAlgebra(sig, k, ops)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(case=algebras_and_partitions())
+@example(case=(_last_argument_shift(TABLE_SIGNATURES[0], 4), Partition.parse("0,1|2,3")))
+@example(case=(_last_argument_shift(TABLE_SIGNATURES[3], 5), Partition.parse("0|1,3|2|4")))
+def test_principal_tables_give_the_verdicts_of_principal_translations(case):
+    X, part = case
+    assert list(_principal_tables(X)) == [t.table for t in principal_translations(X)]
+    assert principal_translations(X) == frozen_principal_translations(X)
+    assert list(_principal_tables(X).items()) == naive_principal_translations(X)
+    got = is_congruence_via_translations(X, part)
+    want = frozen_is_congruence_via_translations(X, part)
+    assert got.ok == want.ok
+    if not want.ok:
+        (tr, pair), (want_tr, want_pair) = got.witness, want.witness
+        assert (tr.word, tr.table, pair) == (want_tr.word, want_tr.table, want_pair)

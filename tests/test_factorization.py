@@ -194,8 +194,8 @@ def test_preorder_reflexive_transitive():
 
 def test_factorizations_do_not_test_their_congruences_again(monkeypatch):
     calls = []
-    original = congruences.principal_translations
-    monkeypatch.setattr(congruences, "principal_translations", lambda X: calls.append(X) or original(X))
+    original = congruences._principal_tables
+    monkeypatch.setattr(congruences, "_principal_tables", lambda X: calls.append(X) or original(X))
     for X in FIXTURES:
         f = CarrierMap(X.size, 2, tuple(x % 2 for x in range(X.size)))
         calls.clear()

@@ -1,11 +1,15 @@
-"""The algebra-file and ``@path`` loader against the pathlib loader it replaced.
+"""The algebra-file and ``@path`` loader against the loaders it replaced.
 
 ``cli._algebra`` and ``cli._read_file`` check a path with one ``os.stat`` and
-read it with one text-mode ``open()``; ``_oracles.frozen_algebra`` and
-``frozen_read_file`` are the ``Path.is_file`` / ``Path.read_text`` route they
-replaced.  Each path below gives the same algebra or text on both routes, or
+read it with one raw ``os.open`` and ``os.read`` until EOF, then decode it as
+UTF-8 and translate newlines as text mode does.  ``_oracles.frozen_algebra``
+and ``frozen_read_file`` are the ``Path.is_file`` / ``Path.read_text`` route
+of before; each path below gives the same algebra or text on both routes, or
 the same error type and message.  The one deliberate difference is that an
 OSError names the path as given, where pathlib named its normalised form.
+``frozen_open_read_file`` is the text-mode ``open()`` that came between: on
+drawn bytes, files over one 64 KiB read included, it gives the same text or
+the same error as ``_read_file``.  No error path leaves a raw fd open.
 """
 
 import errno
@@ -14,12 +18,14 @@ import os
 import threading
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ualgebra import cli
 from ualgebra.cli import _algebra, _json_arg, _read_file, main
 from ualgebra.errors import UAlgError
 
-from _oracles import frozen_algebra, frozen_read_file
+from _oracles import frozen_algebra, frozen_open_read_file, frozen_read_file
 
 Z2_DOC = {
     "signature": [{"symbol": "m", "arity": 2}, {"symbol": "i", "arity": 1}, {"symbol": "e", "arity": 0}],
@@ -168,3 +174,77 @@ def test_stat_errors_other_than_no_such_file_are_raised(tmp_path, monkeypatch, c
     assert json.loads(capsys.readouterr().out)["error"] == {
         "type": "PermissionError", "message": f"[Errno 13] Permission denied: '{denied}'"
     }
+
+
+CHUNK = 1 << 16  # the bytes one os.read of _read_file asks for
+# newlines, a BOM, non-ASCII text, and bytes that are not UTF-8: a stray
+# continuation byte, a lone lead byte, a truncated sequence, an encoded
+# surrogate, an overlong form and a byte UTF-8 never uses
+PIECES = (
+    b"\n", b"\r", b"\r\n", b"\r\r\n", b"\xef\xbb\xbf", "caf\u00e9 \u2218 \U0001f600".encode(),
+    b"\x80", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80", b"\xc0\xaf", b"\xff",
+)
+
+
+@st.composite
+def file_bytes(draw):
+    """ASCII text with the ``PIECES`` spliced in at drawn offsets, after a filler
+    that often ends at or near a chunk edge, so that the pieces straddle it."""
+    filler = draw(st.sampled_from([0, 0, CHUNK - 2, CHUNK - 1, CHUNK, 2 * CHUNK - 1]))
+    text = bytearray(b"x" * filler + draw(st.binary(max_size=40).map(lambda b: bytes(c & 0x7F for c in b))))
+    for piece in draw(st.lists(st.sampled_from(PIECES), max_size=8)):
+        at = draw(st.integers(max(filler - 3, 0), len(text)))
+        text[at:at] = piece
+    return bytes(text)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=file_bytes())
+@example(data=b"x" * (CHUNK - 1) + b"\r\n" + b"y\r" * 3)
+@example(data=b"x" * (2 * CHUNK + 5) + b"\xff")
+@example(data=b"x" * (CHUNK - 1) + "\u00e9".encode() + b"\r")
+def test_drawn_files_read_as_through_text_mode_open(tmp_path_factory, data):
+    path = str(tmp_path_factory.mktemp("drawn") / "file")
+    with open(path, "wb") as file:
+        file.write(data)
+    assert outcome(_read_file, path) == outcome(frozen_open_read_file, path)
+
+
+def test_a_large_file_is_read_in_several_chunks(tmp_path, monkeypatch):
+    data = b"x" * (CHUNK - 1) + b"\r\n" + b"y\r\n" * CHUNK + b"\xff"
+    path = str(tmp_path / "large")
+    with open(path, "wb") as file:
+        file.write(data)
+    assert outcome(_read_file, path) == outcome(frozen_open_read_file, path) == (
+        "FormatError", f"file '{path}' is not UTF-8: invalid start byte at byte {len(data) - 1}"
+    )
+    with open(path, "wb") as file:
+        file.write(data[:-1])
+    reads = []
+    read = os.read
+    monkeypatch.setattr(cli.os, "read", lambda fd, n: reads.append(n) or read(fd, n))
+    text = _read_file(path)
+    assert len(reads) >= 4  # the \r of the first \r\n ends the first read; the empty read ends the file
+    assert text == frozen_open_read_file(path) == "x" * (CHUNK - 1) + "\n" + "y\n" * CHUNK
+
+
+def _lowest_free_fd():
+    fd = os.open(os.devnull, os.O_RDONLY)
+    os.close(fd)
+    return fd
+
+
+def test_no_error_path_leaves_a_raw_fd_open(paths, tmp_path):
+    # A raw fd raises no ResourceWarning when it leaks, so -X dev cannot see one.
+    fifo = str(tmp_path / "fifo")
+    os.mkfifo(fifo)
+    cases = [paths[name] for name in ("dir", "latin.json", "nul byte", "missing", "empty", "malformed-crlf.json")]
+    cases += [f"{paths['lf.json']}/", fifo]
+    lowest = _lowest_free_fd()
+    for path in cases:
+        assert outcome(_algebra, path)[0] != "ok", path
+        assert _lowest_free_fd() == lowest, path
+        if path != fifo:  # a FIFO @path is read as a stream: it blocks with no writer
+            for load, *args in ((_read_file, path), (_json_arg, f"@{path}", "map")):
+                outcome(load, *args)
+                assert _lowest_free_fd() == lowest, (load.__name__, path)
