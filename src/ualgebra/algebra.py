@@ -24,7 +24,6 @@ import itertools
 import math
 import sys
 from array import array
-from dataclasses import dataclass
 from functools import partial
 from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -40,6 +39,7 @@ from .errors import (
     SizeCapError,
     SizeMismatchError,
     UnknownSymbolError,
+    is_element,
 )
 from .partitions import Partition
 from .signature import Signature
@@ -174,8 +174,8 @@ class FiniteAlgebra:
             raise ArityMismatchError(symbol, arity, len(args))
         index = 0
         for a in args:
-            if not 0 <= a < self.size:
-                raise OutOfCarrierError(f"argument {a} outside carrier of size {self.size}")
+            if not is_element(a, self.size):
+                raise OutOfCarrierError(f"argument {a!r} outside carrier of size {self.size}")
             index = index * self.size + a
         return self._tables[symbol][index]
 
@@ -310,22 +310,34 @@ def _algebra(sig: Signature, size: int, tables: Mapping[str, Sequence[int]]) -> 
     return X
 
 
-@dataclass(frozen=True)
-class CarrierMap:
-    """A total map between carriers, as the list of images."""
-
+class _CarrierMapFields(NamedTuple):
     source_size: int
     target_size: int
     values: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.values) != self.source_size:
-            raise SizeMismatchError(
-                f"map has {len(self.values)} values, source size {self.source_size}"
-            )
-        for v in self.values:
-            if not 0 <= v < self.target_size:
-                raise OutOfCarrierError(f"image {v} outside target of size {self.target_size}")
+
+class CarrierMap(_CarrierMapFields):
+    """A total map between carriers, as the list of images."""
+
+    # The check is in __new__.  NamedTuple's own _make (which _replace and
+    # copy.replace call) and pickle protocols 0 and 1 skip it, so _make and
+    # __reduce__ are overridden to go through it.
+    __slots__ = ()
+
+    def __new__(cls, source_size: int, target_size: int, values: tuple[int, ...]):
+        if len(values) != source_size:
+            raise SizeMismatchError(f"map has {len(values)} values, source size {source_size}")
+        for v in values:
+            if type(v) is not int or not 0 <= v < target_size:  # errors.is_element, inlined: one test per image
+                raise OutOfCarrierError(f"image {v!r} outside target of size {target_size}")
+        return super().__new__(cls, source_size, target_size, values)
+
+    @classmethod
+    def _make(cls, iterable) -> "CarrierMap":
+        return cls(*iterable)
+
+    def __reduce__(self):
+        return type(self), tuple(self)
 
     def __call__(self, x: int) -> int:
         return self.values[x]
@@ -550,8 +562,8 @@ def subalgebra_generated(X: FiniteAlgebra, seed: Iterable[int]) -> Subalgebra:
     """
     seeds = []
     for x in seed:
-        if not 0 <= x < X.size:
-            raise OutOfCarrierError(f"seed element {x} outside carrier of size {X.size}")
+        if not is_element(x, X.size):
+            raise OutOfCarrierError(f"seed element {x!r} outside carrier of size {X.size}")
         seeds.append((x,))
     members = tuple(sorted(table[0] for table in _generated(X, seeds)))
     if not members:

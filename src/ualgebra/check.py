@@ -1,11 +1,13 @@
-"""Boolean verdicts that carry a witness."""
+"""Boolean verdicts that carry a witness.
 
-from dataclasses import dataclass
-from typing import Any
+``Check`` is a ``NamedTuple``, like every value record of the package: it
+unpacks as ``ok, witness`` and compares equal to that plain tuple.
+"""
+
+from typing import Any, NamedTuple
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """Result of a decidable check.
 
     ``ok`` is the verdict; ``witness`` holds the counterexample on failure

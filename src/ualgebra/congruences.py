@@ -14,7 +14,7 @@ import itertools
 from typing import Iterable
 
 from .check import Check
-from .errors import NotACongruenceError, OutOfCarrierError, SizeCapError, SizeMismatchError
+from .errors import NotACongruenceError, OutOfCarrierError, SizeCapError, SizeMismatchError, is_element
 from .partitions import Partition, _closure
 from .translations import PrincipalDescriptor, Translation, _principal_tables
 
@@ -80,8 +80,8 @@ def congruence_generated(X, pairs: Iterable[tuple[int, int]]) -> Partition:
     """
     pairs = list(pairs)
     for a, b in pairs:
-        if not (0 <= a < X.size and 0 <= b < X.size):
-            raise OutOfCarrierError(f"pair ({a},{b}) outside carrier of size {X.size}")
+        if not (is_element(a, X.size) and is_element(b, X.size)):
+            raise OutOfCarrierError(f"pair ({a!r},{b!r}) outside carrier of size {X.size}")
     return _closure(X.size, pairs, list(_principal_tables(X)))
 
 

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by the whole package, and the decimal-digit rules ``is_decimal`` and ``decimal``."""
+"""Exception hierarchy shared by the whole package, the decimal-digit rules ``is_decimal`` and ``decimal``,
+and the integer rules ``is_element`` and ``is_positive``."""
 
 
 class UAlgError(Exception):
@@ -82,6 +83,16 @@ class MismatchedBaseError(UAlgError):
 def is_decimal(text: str) -> bool:
     """Whether ``text`` is one or more ASCII decimal digits."""
     return text.isascii() and text.isdigit()
+
+
+def is_element(x, size: int) -> bool:
+    """Whether ``x`` lies in the carrier {0, ..., size-1}: an ``int`` proper, so no ``bool`` or ``float``."""
+    return type(x) is int and 0 <= x < size
+
+
+def is_positive(n) -> bool:
+    """Whether ``n`` is a positive ``int`` (not a ``bool``): a nonempty carrier's size, or a variable index."""
+    return type(n) is int and n > 0
 
 
 def decimal(digits: str, error: type[UAlgError], what: str) -> int:

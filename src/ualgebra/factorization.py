@@ -8,7 +8,7 @@ identity factorization (id, X, f) is greatest, and the least one is the
 quotient by the largest congruence refining ker f.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import CarrierMap, FiniteAlgebra, _first_difference, _quotient, is_homomorphism, kernel
 from .check import Check
@@ -17,8 +17,7 @@ from .errors import MismatchedBaseError, SizeMismatchError
 from .partitions import Partition
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     g: CarrierMap  # surjective homomorphism X -> Y
     Y: FiniteAlgebra
     h: CarrierMap  # plain map Y -> Z

@@ -4,7 +4,7 @@ import itertools
 from functools import lru_cache, partial
 
 from .algebra import FiniteAlgebra
-from .errors import ArgumentError, FormatError
+from .errors import ArgumentError, FormatError, is_positive
 from .signature import Signature
 from .terms import Term, parse_term
 
@@ -31,8 +31,8 @@ def group_axioms() -> tuple[tuple[Term, Term], ...]:
 
 def cyclic_group(n: int) -> FiniteAlgebra:
     """The cyclic group of order n, written additively over m/i/e."""
-    if n < 1:
-        raise ArgumentError("group order must be positive")
+    if not is_positive(n):
+        raise ArgumentError("group order must be positive" if type(n) is int else f"group order must be an int, got {n!r}")
     return FiniteAlgebra(
         GROUP_SIG,
         n,
@@ -73,8 +73,8 @@ def adjoined_infinity_monoid(n: int) -> FiniteAlgebra:
     x + inf = inf and -inf = inf.  Satisfies the monoid axioms over the
     group signature but not the inverse axiom (it fails at inf).
     """
-    if n < 1:
-        raise ArgumentError("n must be positive")
+    if not is_positive(n):
+        raise ArgumentError("n must be positive" if type(n) is int else f"n must be an int, got {n!r}")
     inf = n
     size = n + 1
 

@@ -9,7 +9,7 @@ elements with ``,``: ``"0,2|1,3"``.
 from collections import deque
 from typing import Hashable, Iterable, Iterator, Sequence
 
-from .errors import PartitionError, SizeMismatchError, decimal, is_decimal
+from .errors import PartitionError, SizeMismatchError, decimal, is_decimal, is_element
 
 
 class Partition:
@@ -97,8 +97,8 @@ class Partition:
         labels = [None] * size
         for i, block in enumerate(blocks):
             for x in block:
-                if not 0 <= x < size:
-                    raise PartitionError(f"element {x} out of range for size {size}")
+                if not is_element(x, size):
+                    raise PartitionError(f"element {x!r} out of range for size {size}")
                 if labels[x] is not None:
                     raise PartitionError(f"element {x} appears twice")
                 labels[x] = i
@@ -112,8 +112,8 @@ class Partition:
         """Equivalence closure of the given pairs (merged block labels)."""
         pairs = list(pairs)
         for a, b in pairs:
-            if not (0 <= a < size and 0 <= b < size):
-                raise PartitionError(f"pair ({a},{b}) out of range for size {size}")
+            if not (is_element(a, size) and is_element(b, size)):
+                raise PartitionError(f"pair ({a!r},{b!r}) out of range for size {size}")
         return _closure(size, pairs)
 
     @classmethod

@@ -6,8 +6,7 @@ an arity-0 symbol.  ``parse_term(format_term(t), sig)`` returns ``t``.
 """
 
 import enum
-from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Mapping, NamedTuple, Sequence, Union
 
 from .errors import (
     ArgumentError,
@@ -17,6 +16,8 @@ from .errors import (
     SignatureMismatchError,
     UnboundVariableError,
     decimal,
+    is_element,
+    is_positive,
 )
 from .signature import _NAME_RE, _VAR_RE, Signature
 
@@ -26,22 +27,34 @@ from .signature import _NAME_RE, _VAR_RE, Signature
 MAX_TERM_DEPTH = 200
 
 
-@dataclass(frozen=True)
-class Variable:
+class _VariableFields(NamedTuple):
     index: int  # positive
 
-    def __post_init__(self):
-        if not isinstance(self.index, int) or self.index < 1:
-            raise ArgumentError(f"variable index must be a positive integer, got {self.index!r}")
+
+class Variable(_VariableFields):
+    # The check is in __new__.  NamedTuple's own _make (which _replace and
+    # copy.replace call) and pickle protocols 0 and 1 skip it, so _make and
+    # __reduce__ are overridden to go through it.
+    __slots__ = ()
+
+    def __new__(cls, index: int):
+        if not is_positive(index):
+            raise ArgumentError(f"variable index must be a positive integer, got {index!r}")
+        return super().__new__(cls, index)
+
+    @classmethod
+    def _make(cls, iterable) -> "Variable":
+        return cls(*iterable)
+
+    def __reduce__(self):
+        return type(self), tuple(self)
 
 
-@dataclass(frozen=True)
-class Constant:
+class Constant(NamedTuple):
     symbol: str
 
 
-@dataclass(frozen=True)
-class Apply:
+class Apply(NamedTuple):
     symbol: str
     children: tuple["Term", ...]
 
@@ -215,8 +228,8 @@ def evaluate(t: Term, algebra, assignment: Mapping[int, int]) -> int:
     for v in sorted(vars_of(t)):
         if v in assignment:
             value = assignment[v]
-            if not 0 <= value < algebra.size:
-                raise OutOfCarrierError(f"v{v} assigned {value}, carrier size {algebra.size}")
+            if not is_element(value, algebra.size):
+                raise OutOfCarrierError(f"v{v} assigned {value!r}, carrier size {algebra.size}")
             env[v] = (value,)
     return term_table(t, algebra, env)[0]
 

@@ -8,7 +8,6 @@ descriptors) that produced them, applied left to right.
 """
 
 from array import array
-from dataclasses import dataclass
 from itertools import islice
 from operator import itemgetter
 from typing import NamedTuple
@@ -19,8 +18,7 @@ from .errors import SizeCapError, UAlgError
 SEMIGROUP_HARD_CAP = 10**6  # tables; |S(X)| <= k^k always
 
 
-@dataclass(frozen=True)
-class PrincipalDescriptor:
+class PrincipalDescriptor(NamedTuple):
     """Operation symbol, 1-based slot index, and the fixed argument tuple."""
 
     symbol: str
@@ -33,8 +31,7 @@ class PrincipalDescriptor:
         return f"{self.symbol}@{self.slot}({','.join(str(x) for x in self.fixed)})"
 
 
-@dataclass(frozen=True)
-class Translation:
+class Translation(NamedTuple):
     """A self-map of the carrier together with its generating word.
 
     The table equals the word's principal translations applied left to

@@ -12,8 +12,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ualgebra import FiniteAlgebra, Partition, Signature, cli, parse_signature, parse_term
-from ualgebra.errors import ParseError, PartitionError, UAlgError
+from ualgebra import (
+    CarrierMap,
+    FiniteAlgebra,
+    Partition,
+    Signature,
+    Variable,
+    adjoined_infinity_monoid,
+    cli,
+    congruence_generated,
+    cyclic_group,
+    evaluate,
+    parse_signature,
+    parse_term,
+    subalgebra_generated,
+)
+from ualgebra.errors import ArgumentError, OutOfCarrierError, ParseError, PartitionError, UAlgError
 
 BIG = 10**12
 boundary_test = settings(derandomize=True, max_examples=60, deadline=None)
@@ -127,3 +141,81 @@ def test_main_exits_0_to_3_on_generated_argvs(command, rest):
             assert exc.code == 2
             return
     assert code in (0, 1, 2, 3)
+
+
+# Each entry point that takes a carrier element x of X (here Z_k): the call, its typed error, and
+# its message, which names x by repr.  For an int, repr and str agree, so those messages are as before.
+_ELEMENT_SITES = {
+    "congruence_generated": (
+        lambda X, x: congruence_generated(X, [(x, 0)]),
+        OutOfCarrierError,
+        "pair ({x!r},0) outside carrier of size {k}",
+    ),
+    "Partition.from_pairs": (
+        lambda X, x: Partition.from_pairs(X.size, [(x, 0)]),
+        PartitionError,
+        "pair ({x!r},0) out of range for size {k}",
+    ),
+    "Partition.from_blocks": (
+        lambda X, x: Partition.from_blocks(X.size, [[x], range(X.size)]),
+        PartitionError,
+        "element {x!r} out of range for size {k}",
+    ),
+    "FiniteAlgebra.apply": (
+        lambda X, x: X.apply("m", (0, x)),
+        OutOfCarrierError,
+        "argument {x!r} outside carrier of size {k}",
+    ),
+    "evaluate": (
+        lambda X, x: evaluate(Variable(1), X, {1: x}),
+        OutOfCarrierError,
+        "v1 assigned {x!r}, carrier size {k}",
+    ),
+    "subalgebra_generated": (
+        lambda X, x: subalgebra_generated(X, [x]),
+        OutOfCarrierError,
+        "seed element {x!r} outside carrier of size {k}",
+    ),
+    "CarrierMap": (
+        lambda X, x: CarrierMap(1, X.size, (x,)),
+        OutOfCarrierError,
+        "image {x!r} outside target of size {k}",
+    ),
+}
+
+
+def _non_elements(k):
+    """Bools, floats (integral ones among them) and ints outside range(k)."""
+    return (
+        st.booleans()
+        | st.floats()
+        | st.integers(0, k - 1).map(float)
+        | st.integers(-BIG, BIG).filter(lambda x: not 0 <= x < k)
+    )
+
+
+@pytest.mark.parametrize("call, error, message", _ELEMENT_SITES.values(), ids=_ELEMENT_SITES)
+@boundary_test
+@given(st.integers(1, 5).flatmap(lambda k: st.tuples(st.just(k), _non_elements(k))))
+def test_a_carrier_element_that_is_no_int_in_range_raises_the_sites_typed_error(call, error, message, case):
+    k, x = case
+    with pytest.raises(error) as caught:
+        call(cyclic_group(k), x)
+    assert str(caught.value) == message.format(x=x, k=k)
+
+
+# Entry points that take a positive int: the call, and its message for a nonpositive int and for anything else.
+_POSITIVE_SITES = {
+    "cyclic_group": (cyclic_group, "group order must be positive", "group order must be an int, got {n!r}"),
+    "adjoined_infinity_monoid": (adjoined_infinity_monoid, "n must be positive", "n must be an int, got {n!r}"),
+    "Variable": (Variable, *["variable index must be a positive integer, got {n!r}"] * 2),
+}
+
+
+@pytest.mark.parametrize("call, int_message, message", _POSITIVE_SITES.values(), ids=_POSITIVE_SITES)
+@boundary_test
+@given(st.booleans() | st.floats() | st.integers(1, 9).map(float) | st.integers(-BIG, 0))
+def test_a_size_or_index_that_is_no_positive_int_raises_argument_error(call, int_message, message, n):
+    with pytest.raises(ArgumentError) as caught:
+        call(n)
+    assert str(caught.value) == (int_message if type(n) is int else message).format(n=n)

@@ -38,9 +38,11 @@ def test_src_does_not_import_pathlib():
         assert module.split(".")[0] != "pathlib", f"{name}:{line} imports {module}"
 
 
-def test_importing_the_command_line_loads_no_pathlib():
-    # -S: site-packages .pth hooks may import pathlib before ualgebra does.
-    code = "import sys, ualgebra.cli; print(sorted({'pathlib', 'urllib.parse', 'fnmatch'} & set(sys.modules)))"
+def test_the_command_line_imports_no_pathlib_dataclasses_or_inspect():
+    # -S: site-packages .pth hooks may import pathlib before ualgebra does.  Value records are
+    # NamedTuples, so nothing imports dataclasses, nor the inspect that dataclasses imports.
+    unused = "{'pathlib', 'urllib.parse', 'fnmatch', 'dataclasses', 'inspect'}"
+    code = f"import sys, ualgebra.cli; print(sorted({unused} & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     result = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
     assert result.stdout == "[]\n"

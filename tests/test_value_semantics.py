@@ -1,6 +1,33 @@
-"""Equality, hashing, calling and printing of the value types."""
+"""Equality, hashing, calling and printing of the value types.
 
-from ualgebra import FiniteAlgebra, Partition, klein_four, parse_signature, quotient, subalgebra_generated
+The eight value records are NamedTuples: they keep the reprs, equality,
+hashing and immutability they had as frozen records, and they unpack and
+compare as the tuples of their fields.  ``CarrierMap`` and ``Variable`` check
+their fields on every route that builds one.
+"""
+
+import copy
+import pickle
+
+import pytest
+
+from ualgebra import (
+    Apply,
+    CarrierMap,
+    Check,
+    Constant,
+    FiniteAlgebra,
+    Partition,
+    PrincipalDescriptor,
+    Variable,
+    cyclic_group,
+    klein_four,
+    least_factorization,
+    parse_signature,
+    quotient,
+    subalgebra_generated,
+)
+from ualgebra.errors import ArgumentError, OutOfCarrierError
 from ualgebra.translations import principal_translations
 
 Z4_SIG = parse_signature("m/2 i/1 e/0")
@@ -38,3 +65,122 @@ def test_reprs_name_the_value():
     assert repr(_z4()) == "FiniteAlgebra(size=4, sig='m/2 i/1 e/0')"
     assert repr(Z4_SIG) == "Signature('m/2 i/1 e/0')"
     assert repr(Partition.parse("3,1|2,0")) == "Partition('0,2|1,3')"
+
+
+def _records():
+    """One example of each record -> its repr, and a second example of the same type."""
+    X = cyclic_group(4)
+    f, f2 = CarrierMap(4, 2, (0, 1, 0, 1)), CarrierMap(4, 1, (0, 0, 0, 0))
+    translations = principal_translations(X)
+    return [
+        (Check(False, (0, 1)), "Check(ok=False, witness=(0, 1))", Check(True)),
+        (f, "CarrierMap(source_size=4, target_size=2, values=(0, 1, 0, 1))", f2),
+        (
+            least_factorization(X, f),
+            "Factorization(g=CarrierMap(source_size=4, target_size=2, values=(0, 1, 0, 1)), "
+            "Y=FiniteAlgebra(size=2, sig='m/2 i/1 e/0'), "
+            "h=CarrierMap(source_size=2, target_size=2, values=(0, 1)), z_size=2)",
+            least_factorization(X, f2),
+        ),
+        (Variable(2), "Variable(index=2)", Variable(1)),
+        (Constant("e"), "Constant(symbol='e')", Constant("f")),
+        (
+            Apply("m", (Variable(1), Constant("e"))),
+            "Apply(symbol='m', children=(Variable(index=1), Constant(symbol='e')))",
+            Apply("m", (Constant("e"), Variable(1))),
+        ),
+        (
+            PrincipalDescriptor("m", 2, (3,)),
+            "PrincipalDescriptor(symbol='m', slot=2, fixed=(3,))",
+            PrincipalDescriptor("m", 1, (3,)),
+        ),
+        (
+            translations[1],
+            "Translation(table=(1, 2, 3, 0), word=(PrincipalDescriptor(symbol='m', slot=1, fixed=(1,)),))",
+            translations[2],
+        ),
+    ]
+
+
+RECORDS = _records()
+_ids = [type(record).__name__ for record, _, _ in RECORDS]
+
+
+@pytest.mark.parametrize("record, text, other", RECORDS, ids=_ids)
+def test_a_record_keeps_its_repr_equality_hash_and_immutability(record, text, other):
+    assert repr(record) == text
+    twin = type(record)(*record)
+    assert twin == record and hash(twin) == hash(record) and twin is not record
+    assert type(other) is type(record) and other != record
+    assert len({record, twin, other}) == 2
+    with pytest.raises(AttributeError):
+        setattr(record, type(record)._fields[0], other[0])
+    with pytest.raises(AttributeError):
+        record.note = "mutable"
+
+
+@pytest.mark.parametrize("record, text, other", RECORDS, ids=_ids)
+def test_a_record_survives_a_pickle_round_trip(record, text, other):
+    loaded = pickle.loads(pickle.dumps(record))
+    assert type(loaded) is type(record) and loaded == record and repr(loaded) == text
+
+
+@pytest.mark.parametrize("record, text, other", RECORDS, ids=_ids)
+def test_a_record_unpacks_into_its_fields_and_equals_their_tuple(record, text, other):
+    fields = type(record)._fields
+    assert [*record] == [getattr(record, name) for name in fields]
+    assert record == tuple(getattr(record, name) for name in fields)
+    first, *rest = record
+    assert first == record[0] and len(rest) == len(fields) - 1
+
+
+def test_a_check_is_truthy_exactly_when_it_holds():
+    assert not Check(False, (0, 1)) and not Check(False)
+    assert Check(True) and Check(True, "found")
+    ok, witness = Check(False, (0, 1))
+    assert (ok, witness) == (False, (0, 1))
+    assert Check(True).witness is None
+
+
+def _forged_pickles(record, old: int, new: int):
+    """Pickles of ``record`` at every protocol, with the one encoding of the int ``old`` made ``new``."""
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        data = pickle.dumps(record, protocol)
+        if protocol == 0:
+            encode = b"I%d\n".__mod__
+        else:
+            encode = lambda n: b"J" + n.to_bytes(4, "little", signed=True)  # noqa: E731
+        assert data.count(encode(old)) == 1
+        yield data.replace(encode(old), encode(new))
+
+
+# A valid record, fields that its check refuses, the check's typed error, and
+# an int of the record that its pickles are forged from, with the refused int put in.
+CHECKED = {
+    "CarrierMap": (CarrierMap(1, 200000, (123456,)), {"values": (200000,)}, OutOfCarrierError, (123456, -123456)),
+    "Variable": (Variable(123456), {"index": 0}, ArgumentError, (123456, -123456)),
+}
+
+
+@pytest.mark.parametrize("record, bad, error, forged", CHECKED.values(), ids=CHECKED)
+def test_a_checked_record_is_checked_on_every_route_that_builds_one(record, bad, error, forged):
+    cls = type(record)
+    fields = {**record._asdict(), **bad}
+    assert cls(*record) == cls(**record._asdict()) == cls._make(record) == record._replace() == record
+    with pytest.raises(error):
+        cls(*fields.values())
+    with pytest.raises(error):
+        cls(**fields)
+    with pytest.raises(error):
+        cls._make(fields.values())
+    with pytest.raises(error):
+        record._replace(**bad)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(record, protocol)) == record
+    for data in _forged_pickles(record, *forged):
+        with pytest.raises(error):
+            pickle.loads(data)
+    if hasattr(copy, "replace"):  # Python 3.13 and later
+        assert copy.replace(record) == record
+        with pytest.raises(error):
+            copy.replace(record, **bad)
