@@ -27,7 +27,7 @@ from array import array
 from functools import partial
 from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .check import Check
+from .check import Check, Checked
 from .congruences import is_congruence_via_translations
 from .errors import (
     ArgumentError,
@@ -39,7 +39,9 @@ from .errors import (
     SizeCapError,
     SizeMismatchError,
     UnknownSymbolError,
+    is_count,
     is_element,
+    is_positive,
 )
 from .partitions import Partition
 from .signature import Signature
@@ -149,7 +151,7 @@ class FiniteAlgebra:
     __slots__ = ("sig", "size", "_tables")
 
     def __init__(self, sig: Signature, size: int, ops: Mapping[str, Any]):
-        if type(size) is not int or size < 1:
+        if not is_positive(size):
             raise FormatError(f"carrier size must be a positive integer, got {size!r}")
         if size > TABLE_CAP:
             raise SizeCapError(f"a carrier of {size} elements exceeds the fixed limit of {TABLE_CAP} elements")
@@ -270,6 +272,10 @@ class FiniteAlgebra:
     def __hash__(self) -> int:
         return hash((self.sig, self.size, tuple(sorted(self._tables.items()))))
 
+    def __reduce__(self):
+        """Pickle as the constructor call, so unpickling checks the tables."""
+        return FiniteAlgebra, (self.sig, self.size, {name: self.table(name) for name, _ in self.sig})
+
     def __repr__(self) -> str:
         return f"FiniteAlgebra(size={self.size}, sig={self.sig.format()!r})"
 
@@ -316,28 +322,20 @@ class _CarrierMapFields(NamedTuple):
     values: tuple[int, ...]
 
 
-class CarrierMap(_CarrierMapFields):
+class CarrierMap(Checked, _CarrierMapFields):
     """A total map between carriers, as the list of images."""
 
-    # The check is in __new__.  NamedTuple's own _make (which _replace and
-    # copy.replace call) and pickle protocols 0 and 1 skip it, so _make and
-    # __reduce__ are overridden to go through it.
     __slots__ = ()
 
     def __new__(cls, source_size: int, target_size: int, values: tuple[int, ...]):
+        if not (is_count(source_size) and is_count(target_size)):
+            raise ArgumentError(f"map sizes must be non-negative ints, got {source_size!r} and {target_size!r}")
         if len(values) != source_size:
             raise SizeMismatchError(f"map has {len(values)} values, source size {source_size}")
         for v in values:
             if type(v) is not int or not 0 <= v < target_size:  # errors.is_element, inlined: one test per image
                 raise OutOfCarrierError(f"image {v!r} outside target of size {target_size}")
         return super().__new__(cls, source_size, target_size, values)
-
-    @classmethod
-    def _make(cls, iterable) -> "CarrierMap":
-        return cls(*iterable)
-
-    def __reduce__(self):
-        return type(self), tuple(self)
 
     def __call__(self, x: int) -> int:
         return self.values[x]

@@ -1,7 +1,8 @@
-"""Boolean verdicts that carry a witness.
+"""Boolean verdicts that carry a witness, and the base of the checked records.
 
 ``Check`` is a ``NamedTuple``, like every value record of the package: it
-unpacks as ``ok, witness`` and compares equal to that plain tuple.
+unpacks as ``ok, witness`` and compares equal to that plain tuple.  A record
+that checks its fields in ``__new__`` lists ``Checked`` before its NamedTuple base.
 """
 
 from typing import Any, NamedTuple
@@ -20,3 +21,17 @@ class Check(NamedTuple):
 
     def __bool__(self) -> bool:
         return self.ok
+
+
+class Checked:
+    # The check is in the record's __new__.  NamedTuple's own _make (which
+    # _replace and copy.replace call) and pickle protocols 0 and 1 skip it,
+    # so _make and __reduce__ are overridden to go through it.
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __reduce__(self):
+        return type(self), tuple(self)

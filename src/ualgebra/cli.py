@@ -265,7 +265,7 @@ def cmd_hom_check(args) -> tuple[int, dict, list[str]]:
     payload = {
         "source": args.source,
         "target": args.target,
-        "map": list(phi.values),
+        "map": phi.values,
         "is_homomorphism": verdict.ok,
         "counterexample": counterexample,
     }
@@ -281,7 +281,7 @@ def cmd_subalgebra(args) -> tuple[int, dict, list[str]]:
     payload = {
         "algebra": args.algebra,
         "seed": seed,
-        "members": list(members),
+        "members": members,
         "subalgebra": sub.to_json_dict() if sub is not None else None,
     }
     human = [f"members: {list(members)}", f"size: {len(members)}"]
@@ -292,10 +292,10 @@ def cmd_product(args) -> tuple[int, dict, list[str]]:
     factors = [_algebra(name) for name in args.algebras]
     prod, projections = product(factors)
     payload = {
-        "factors": list(args.algebras),
+        "factors": args.algebras,
         "size": prod.size,
         "algebra": prod.to_json_dict(),
-        "projections": [list(pr.values) for pr in projections],
+        "projections": [pr.values for pr in projections],
     }
     return 0, payload, [f"product size: {prod.size}"]
 
@@ -313,8 +313,8 @@ def cmd_quotient(args) -> tuple[int, dict, list[str]]:
             "is_congruence": False,
             "violation": {
                 "translation": translation.format_word(),
-                "table": list(translation.table),
-                "pair": list(pair),
+                "table": translation.table,
+                "pair": pair,
             },
         }
         human = [
@@ -327,7 +327,7 @@ def cmd_quotient(args) -> tuple[int, dict, list[str]]:
         "partition": part.format(),
         "is_congruence": True,
         "quotient": Y.to_json_dict(),
-        "map": list(qmap.values),
+        "map": qmap.values,
     }
     return 0, payload, [f"quotient size: {Y.size}", f"map: {list(qmap.values)}"]
 
@@ -377,7 +377,7 @@ def cmd_malcev(args) -> tuple[int, dict, list[str]]:
             "k": k,
             "count": len(enumeration.tables),
             "complete": enumeration.complete,
-            "tables": [list(t) for t in enumeration.tables],
+            "tables": enumeration.tables,
         }
         human = [
             f"{len(enumeration.tables)} Mal'cev operation(s) on a {k}-element carrier"
@@ -394,8 +394,8 @@ def cmd_malcev(args) -> tuple[int, dict, list[str]]:
         "mode": "algebra",
         "algebra": target,
         "has_malcev_term": witness.ok,
-        "witness": list(witness.witness) if witness.ok else None,
-        "group_malcev": list(gm) if gm is not None else None,
+        "witness": witness.witness,
+        "group_malcev": gm,
     }
     human = [f"has_malcev_term: {witness.ok}"]
     if gm is not None:
@@ -411,7 +411,7 @@ def cmd_clone(args) -> tuple[int, dict, list[str]]:
         "algebra": args.algebra,
         "count": len(clone),
         "has_malcev_term": witness is not None,
-        "witness": list(witness) if witness is not None else None,
+        "witness": witness,
     }
     human = [f"ternary term operations: {len(clone)}", f"has_malcev_term: {witness is not None}"]
     return 0, payload, human
@@ -423,11 +423,11 @@ def cmd_factorize(args) -> tuple[int, dict, list[str]]:
     least = least_factorization(X, f)
     payload = {
         "algebra": args.algebra,
-        "f": list(f.values),
+        "f": f.values,
         "kernel": kernel(least.g).format(),
         "y_size": least.Y.size,
         "y": least.Y.to_json_dict(),
-        "h": list(least.h.values),
+        "h": least.h.values,
         "oracle": None,
     }
     human = [
@@ -632,8 +632,9 @@ def _write_json(value, newline: str, write: Callable[[str], object]) -> None:
 
     CPython's C encoder does not take ``indent``, so ``json.dumps`` falls
     back to its pure-Python one; this writer does less per value.  It takes
-    only what payloads hold: str-keyed dicts, lists, str, int, bool, None
-    and ``Members``.  A ``Members`` is written as the array of objects it
+    only what payloads hold: str-keyed dicts, lists and tuples (exactly
+    those types, as ``json.dumps`` takes them), str, int, bool, None and
+    ``Members``.  A ``Members`` is written as the array of objects it
     stands for, ``_BLOCK`` rows per ``write``, and its inputs are not
     checked (see ``Members``).  A block is one ``"".join`` of a list laid
     out row by row: the static text of a row (keys, brackets, quotes and
@@ -651,7 +652,7 @@ def _write_json(value, newline: str, write: Callable[[str], object]) -> None:
         write(int.__repr__(value))
     elif value is None or kind is bool:
         write("null" if value is None else "true" if value else "false")
-    elif kind is list:
+    elif kind is list or kind is tuple:
         if not value:
             write("[]")
             return

@@ -1,5 +1,5 @@
 """Exception hierarchy shared by the whole package, the decimal-digit rules ``is_decimal`` and ``decimal``,
-and the integer rules ``is_element`` and ``is_positive``."""
+and the integer rules ``is_element``, ``is_positive`` and ``is_count``."""
 
 
 class UAlgError(Exception):
@@ -93,6 +93,11 @@ def is_element(x, size: int) -> bool:
 def is_positive(n) -> bool:
     """Whether ``n`` is a positive ``int`` (not a ``bool``): a nonempty carrier's size, or a variable index."""
     return type(n) is int and n > 0
+
+
+def is_count(n) -> bool:
+    """Whether ``n`` is a non-negative ``int`` (not a ``bool``): an arity, or a map's or partition's size."""
+    return type(n) is int and n >= 0
 
 
 def decimal(digits: str, error: type[UAlgError], what: str) -> int:

@@ -15,7 +15,7 @@ from operator import eq
 from typing import Iterator, NamedTuple
 
 from .check import Check
-from .errors import ArityMismatchError, NotAGroupError, SizeCapError, UAlgError
+from .errors import ArgumentError, ArityMismatchError, NotAGroupError, SizeCapError, UAlgError, is_positive
 from .fixtures import group_axioms
 from .algebra import TABLE_CAP, FiniteAlgebra, _check_length, _generated, in_equational_class, projection_tables
 from .terms import parse_term, term_table
@@ -63,8 +63,10 @@ def find_malcev_operations(k: int, cap: int | None = None) -> MalcevEnumeration:
     k(k-1)^2 cells are free.  Tables come out in lexicographic order and the
     listing is truncated (flagged incomplete) once ``cap`` tables are out.
     """
-    if k < 1:
-        raise UAlgError("carrier size must be at least 1")
+    if not is_positive(k):
+        if type(k) is int:  # `ualg malcev 0` prints this message
+            raise UAlgError("carrier size must be at least 1")
+        raise ArgumentError(f"carrier size must be an int, got {k!r}")
     k3 = k**3
     _check_length(k3)
     # k ** (free cells), exact up to ``stop`` and past it whenever k >= 2

@@ -9,7 +9,7 @@ elements with ``,``: ``"0,2|1,3"``.
 from collections import deque
 from typing import Hashable, Iterable, Iterator, Sequence
 
-from .errors import PartitionError, SizeMismatchError, decimal, is_decimal, is_element
+from .errors import PartitionError, SizeMismatchError, decimal, is_count, is_decimal, is_element
 
 
 class Partition:
@@ -94,7 +94,7 @@ class Partition:
 
     @classmethod
     def from_blocks(cls, size: int, blocks: Iterable[Iterable[int]]) -> "Partition":
-        labels = [None] * size
+        labels = [None] * _count(size)
         for i, block in enumerate(blocks):
             for x in block:
                 if not is_element(x, size):
@@ -110,6 +110,7 @@ class Partition:
     @classmethod
     def from_pairs(cls, size: int, pairs: Iterable[tuple[int, int]]) -> "Partition":
         """Equivalence closure of the given pairs (merged block labels)."""
+        _count(size)
         pairs = list(pairs)
         for a, b in pairs:
             if not (is_element(a, size) and is_element(b, size)):
@@ -118,11 +119,11 @@ class Partition:
 
     @classmethod
     def singletons(cls, size: int) -> "Partition":
-        return cls(range(size))
+        return cls(range(_count(size)))
 
     @classmethod
     def single_block(cls, size: int) -> "Partition":
-        return cls([0] * size)
+        return cls([0] * _count(size))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Partition) and self._block_of == other._block_of
@@ -130,8 +131,19 @@ class Partition:
     def __hash__(self) -> int:
         return hash(self._block_of)
 
+    def __reduce__(self):
+        """Pickle as the constructor call, which puts the labels in canonical form."""
+        return Partition, (self._block_of,)
+
     def __repr__(self) -> str:
         return f"Partition({self.format()!r})"
+
+
+def _count(size) -> int:
+    """``size``, which must be a carrier size: a non-negative ``int``."""
+    if not is_count(size):
+        raise PartitionError(f"partition size must be a non-negative int, got {size!r}")
+    return size
 
 
 def _closure(

@@ -7,7 +7,7 @@ signature ``"m/2 i/1 e/0"``.
 import re
 from typing import Iterable, Iterator
 
-from .errors import DuplicateSymbolError, FormatError, ParseError, UnknownSymbolError, decimal
+from .errors import DuplicateSymbolError, FormatError, ParseError, UnknownSymbolError, decimal, is_count
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _ENTRY_RE = re.compile(rf"({_NAME_RE.pattern})/([0-9]+)")
@@ -29,7 +29,7 @@ class Signature:
                 raise FormatError(f"bad symbol name: {name!r}")
             if _VAR_RE.fullmatch(name):
                 raise FormatError(f"symbol name {name!r} is a variable name")
-            if type(n) is not int or n < 0:
+            if not is_count(n):
                 raise FormatError(f"arity of '{name}' must be a nonnegative integer, got {n!r}")
             if name in arity:
                 raise DuplicateSymbolError(f"duplicate symbol '{name}'")
@@ -79,6 +79,10 @@ class Signature:
     def __hash__(self) -> int:
         return hash(self._symbols)
 
+    def __reduce__(self):
+        """Pickle as the constructor call, so unpickling checks the entries."""
+        return Signature, (self._symbols,)
+
     def __repr__(self) -> str:
         return f"Signature({self.format()!r})"
 
@@ -90,15 +94,9 @@ def parse_signature(text: str) -> Signature:
     an equal signature.
     """
     entries = []
-    pos = 0
-    length = len(text)
-    while pos < length:
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _ENTRY_RE.match(text, pos)
-        if m is None or (m.end() < length and not text[m.end()].isspace()):
-            raise ParseError("expected 'name/arity' entry", pos)
+    for word in re.finditer(r"\S+", text):
+        m = _ENTRY_RE.fullmatch(word.group())
+        if m is None:
+            raise ParseError("expected 'name/arity' entry", word.start())
         entries.append((m.group(1), decimal(m.group(2), ParseError, "arity")))
-        pos = m.end()
     return Signature(entries)

@@ -6,8 +6,10 @@ an arity-0 symbol.  ``parse_term(format_term(t), sig)`` returns ``t``.
 """
 
 import enum
+import re
 from typing import Mapping, NamedTuple, Sequence, Union
 
+from .check import Checked
 from .errors import (
     ArgumentError,
     ArityMismatchError,
@@ -31,23 +33,13 @@ class _VariableFields(NamedTuple):
     index: int  # positive
 
 
-class Variable(_VariableFields):
-    # The check is in __new__.  NamedTuple's own _make (which _replace and
-    # copy.replace call) and pickle protocols 0 and 1 skip it, so _make and
-    # __reduce__ are overridden to go through it.
+class Variable(Checked, _VariableFields):
     __slots__ = ()
 
     def __new__(cls, index: int):
         if not is_positive(index):
             raise ArgumentError(f"variable index must be a positive integer, got {index!r}")
         return super().__new__(cls, index)
-
-    @classmethod
-    def _make(cls, iterable) -> "Variable":
-        return cls(*iterable)
-
-    def __reduce__(self):
-        return type(self), tuple(self)
 
 
 class Constant(NamedTuple):
@@ -74,24 +66,20 @@ class PreservationClass(enum.Enum):
 # parsing / printing
 
 
+# A name, one punctuation mark, or any other non-space character, which is an error.
+_TOKEN_RE = re.compile(rf"({_NAME_RE.pattern})|([(),])|\S")
+
+
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    pos = 0
-    length = len(text)
-    while pos < length:
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch in "(),":
-            tokens.append((ch, ch, pos))
-            pos += 1
-            continue
-        m = _NAME_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {ch!r}", pos)
-        tokens.append(("name", m.group(0), pos))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        name, mark = m.groups()
+        if name:
+            tokens.append(("name", name, m.start()))
+        elif mark:
+            tokens.append((mark, mark, m.start()))
+        else:
+            raise ParseError(f"unexpected character {m.group()!r}", m.start())
     return tokens
 
 

@@ -5,7 +5,7 @@ deliberately sharing no algorithmic route with the library: set partitions
 are enumerated recursively (not as restricted-growth strings), semigroup,
 clone and subalgebra closures run as repeated full passes over raw tables, the
 largest-congruence oracle filters the whole congruence lattice, and terms
-are evaluated one assignment at a time by recursion.  Twelve are exceptions,
+are evaluated one assignment at a time by recursion.  Fourteen are exceptions,
 routes the library used before, kept as the references it must reproduce
 exactly: ``frozen_word_semigroup``, the closure loop that the translation
 semigroup used before it kept its members as a tree;
@@ -29,7 +29,9 @@ that text-mode ``open()``, before the command line read files with raw
 ``os.read``; and ``frozen_is_congruence_via_translations`` with
 ``frozen_principal_translations``, the translation congruence test as it ran
 over one ``Translation`` per principal table, before the congruence routines
-read the tables alone.
+read the tables alone; and ``frozen_tokenize`` with
+``frozen_parse_signature``, the hand-written loops that scanned term and
+signature text one character at a time, before both scanned it with ``re``.
 """
 
 import itertools
@@ -45,7 +47,8 @@ from ualgebra.check import Check
 from ualgebra.algebra import TABLE_CAP
 from ualgebra.cli import _json
 from ualgebra.errors import ArityMismatchError, FormatError, OutOfCarrierError, SizeCapError, SizeMismatchError
-from ualgebra.errors import UAlgError
+from ualgebra.errors import ParseError, UAlgError, decimal
+from ualgebra.signature import _ENTRY_RE, _NAME_RE
 from ualgebra.translations import PrincipalDescriptor, SemigroupTree
 
 
@@ -638,3 +641,45 @@ def frozen_is_congruence_via_translations(X, part: Partition) -> Check:
         if found:
             return Check(False, (tr, found[0]))
     return Check(True)
+
+
+def frozen_tokenize(text: str) -> list[tuple[str, str, int]]:
+    """``terms._tokenize`` as it walked the text by hand: ``(kind, value,
+    position)`` of each punctuation mark and name, whitespace skipped by
+    ``str.isspace``; any other character is a ParseError at its position."""
+    tokens = []
+    pos = 0
+    length = len(text)
+    while pos < length:
+        ch = text[pos]
+        if ch.isspace():
+            pos += 1
+            continue
+        if ch in "(),":
+            tokens.append((ch, ch, pos))
+            pos += 1
+            continue
+        m = _NAME_RE.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {ch!r}", pos)
+        tokens.append(("name", m.group(0), pos))
+        pos = m.end()
+    return tokens
+
+
+def frozen_parse_signature(text: str) -> Signature:
+    """``parse_signature`` as it walked the text by hand: each entry must be
+    followed by whitespace or the end of the text."""
+    entries = []
+    pos = 0
+    length = len(text)
+    while pos < length:
+        if text[pos].isspace():
+            pos += 1
+            continue
+        m = _ENTRY_RE.match(text, pos)
+        if m is None or (m.end() < length and not text[m.end()].isspace()):
+            raise ParseError("expected 'name/arity' entry", pos)
+        entries.append((m.group(1), decimal(m.group(2), ParseError, "arity")))
+        pos = m.end()
+    return Signature(entries)

@@ -23,11 +23,12 @@ from ualgebra import (
     congruence_generated,
     cyclic_group,
     evaluate,
+    find_malcev_operations,
     parse_signature,
     parse_term,
     subalgebra_generated,
 )
-from ualgebra.errors import ArgumentError, OutOfCarrierError, ParseError, PartitionError, UAlgError
+from ualgebra.errors import ArgumentError, FormatError, OutOfCarrierError, ParseError, PartitionError, UAlgError
 
 BIG = 10**12
 boundary_test = settings(derandomize=True, max_examples=60, deadline=None)
@@ -219,3 +220,57 @@ def test_a_size_or_index_that_is_no_positive_int_raises_argument_error(call, int
     with pytest.raises(ArgumentError) as caught:
         call(n)
     assert str(caught.value) == (int_message if type(n) is int else message).format(n=n)
+
+
+_PARTITION_SIZE = "partition size must be a non-negative int, got {n!r}"
+
+# Entry points that take a size or an arity n: the call, its typed error, and its message, which names n by repr.
+_SIZE_SITES = {
+    "CarrierMap source": (
+        lambda n: CarrierMap(n, 2, (0, 1)),
+        ArgumentError,
+        "map sizes must be non-negative ints, got {n!r} and 2",
+    ),
+    "CarrierMap target": (
+        lambda n: CarrierMap(2, n, (0, 1)),
+        ArgumentError,
+        "map sizes must be non-negative ints, got 2 and {n!r}",
+    ),
+    "Partition.from_pairs": (lambda n: Partition.from_pairs(n, []), PartitionError, _PARTITION_SIZE),
+    "Partition.from_blocks": (lambda n: Partition.from_blocks(n, []), PartitionError, _PARTITION_SIZE),
+    "Partition.singletons": (Partition.singletons, PartitionError, _PARTITION_SIZE),
+    "Partition.single_block": (Partition.single_block, PartitionError, _PARTITION_SIZE),
+    "Signature": (
+        lambda n: Signature([("m", n)]),
+        FormatError,
+        "arity of 'm' must be a nonnegative integer, got {n!r}",
+    ),
+    "FiniteAlgebra": (
+        lambda n: FiniteAlgebra(Signature([]), n, {}),
+        FormatError,
+        "carrier size must be a positive integer, got {n!r}",
+    ),
+}
+
+# Bools, floats (integral ones among them) and negative ints.
+_non_counts = st.booleans() | st.floats() | st.integers(0, 9).map(float) | st.integers(-BIG, -1)
+
+
+@pytest.mark.parametrize("call, error, message", _SIZE_SITES.values(), ids=_SIZE_SITES)
+@boundary_test
+@given(_non_counts)
+def test_a_size_that_is_no_non_negative_int_raises_the_sites_typed_error(call, error, message, n):
+    with pytest.raises(error) as caught:
+        call(n)
+    assert str(caught.value) == message.format(n=n)
+
+
+@boundary_test
+@given(_non_counts | st.just(0))
+def test_find_malcev_operations_refuses_a_size_that_is_no_positive_int(k):
+    with pytest.raises(UAlgError) as caught:
+        find_malcev_operations(k)
+    if type(k) is int:  # the type and message that `ualg malcev 0` prints
+        assert type(caught.value) is UAlgError and str(caught.value) == "carrier size must be at least 1"
+    else:
+        assert type(caught.value) is ArgumentError and str(caught.value) == f"carrier size must be an int, got {k!r}"

@@ -2,9 +2,10 @@
 
 ``cli._write_json`` must give the same bytes on every document a command
 emits, its error object included, and on generated documents of the same
-kinds of value.  A ``cli.Members`` must print as the array of
+kinds of value, tuples among them, which it writes as arrays as
+``json.dumps`` does.  A ``cli.Members`` must print as the array of
 ``{"table", "word"}`` objects it stands for, at any indent.  The writer
-raises ``TypeError`` on any other kind.  ``cli._emit`` writes a document in
+raises ``TypeError`` on any other kind, another tuple subclass included.  ``cli._emit`` writes a document in
 blocks of ``cli._BLOCK`` rows or ints; the blocks must join to the same
 bytes, and its peak memory must not grow with the length of a listing.
 """
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ualgebra import cli, fixtures
+from ualgebra import CarrierMap, cli, fixtures
 from ualgebra.translations import principal_translations
 
 from _oracles import frozen_word_semigroup
@@ -91,17 +92,24 @@ def test_command_documents_match_json_dumps(command, monkeypatch, capsys):
         assert _dumps(doc) == json.dumps(expand(doc), indent=2, sort_keys=True)
 
 
-# Large ints, control characters and non-ASCII text, and bools inside int lists.
+# Large ints, control characters and non-ASCII text, bools inside int lists,
+# and tuples, which ``json.dumps`` writes as arrays: all-int ones of either
+# side of ``cli._BLOCK``, and ones of any value nested in lists, dicts and tuples.
 _scalars = st.none() | st.booleans() | st.integers(min_value=-(10**40), max_value=10**40) | st.text()
+_int_lists = st.lists(st.integers() | st.booleans())
 _documents = st.recursive(
-    _scalars | st.lists(st.integers() | st.booleans()),
-    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(), inner, max_size=5),
+    _scalars | _int_lists | _int_lists.map(tuple),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=5).map(tuple)
+    | st.dictionaries(st.text(), inner, max_size=5),
     max_leaves=20,
 )
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(_documents)
+@example(tuple(range(cli._BLOCK + 1)))
+@example({"a": [(), (0, (1, [2, ("x", None)]))], "b": tuple(range(3 * cli._BLOCK))})
 def test_generated_documents_match_json_dumps(doc):
     assert _dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
@@ -117,10 +125,14 @@ def test_bools_in_int_lists_print_as_json_literals():
     assert _dumps([0, True, -1, False]) == "[\n  0,\n  true,\n  -1,\n  false\n]"
 
 
-@pytest.mark.parametrize("value", [1.5, (1, 2), [0, 0.5], {"a": (1,)}, {1: 2}, [[{"x": 1e9}]]])
+# A tuple subclass other than ``cli.Members``, such as a ``CarrierMap``, is refused, alone or nested.
+@pytest.mark.parametrize(
+    "value", [1.5, CarrierMap(2, 3, (1, 2)), [0, 0.5], {"a": CarrierMap(1, 2, (1,))}, {1: 2}, [[{"x": 1e9}]]]
+)
 def test_other_kinds_raise_type_error(value):
     with pytest.raises(TypeError):
         _dumps(value)
+
 
 
 def _escaped(texts):

@@ -1,8 +1,12 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ualgebra import Signature, parse_signature, parse_term
-from ualgebra.errors import DuplicateSymbolError, FormatError, ParseError, UnknownSymbolError
-from ualgebra.terms import Apply, Constant
+from ualgebra.errors import DuplicateSymbolError, FormatError, ParseError, UAlgError, UnknownSymbolError
+from ualgebra.terms import Apply, Constant, _tokenize
+
+from _oracles import frozen_parse_signature, frozen_tokenize
 
 
 def test_parse_group_signature():
@@ -68,3 +72,27 @@ def test_symbols_named_like_variables_are_refused(name):
 def test_names_that_are_not_variables_stay_symbols(name):
     sig = Signature([(name, 0), ("m", 2)])
     assert parse_term(f"m({name},{name})", sig) == Apply("m", (Constant(name),) * 2)
+
+
+# Names, variables, digits and punctuation of term and signature text, a
+# character no name holds, and ASCII and Unicode whitespace (``\x1c`` and
+# U+3000 are whitespace to ``str.isspace`` and to ``re``'s ``\s``).
+_pieces = ["m", "i", "e", "f_2", "_x", "v1", "v12", "v0", "0", "7", "/", "(", ")", ",", "@", "\u00e9"]
+_scan_texts = st.lists(st.sampled_from([*_pieces, "\t", "\n", "\x1c", " ", "\u3000"]), max_size=12).map("".join)
+
+
+def _outcome(scan, text):
+    """What ``scan(text)`` gives: its result, or its error's type, message and position."""
+    try:
+        return scan(text)
+    except UAlgError as exc:
+        return type(exc), str(exc), getattr(exc, "pos", None)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_scan_texts)
+@example("\u3000m(v1,\x1ci(v12))\t@")
+@example("m/2\u3000e/0\n f/3x")
+def test_the_scanners_give_what_the_hand_written_loops_gave(text):
+    assert _outcome(_tokenize, text) == _outcome(frozen_tokenize, text)
+    assert _outcome(parse_signature, text) == _outcome(frozen_parse_signature, text)

@@ -3,7 +3,9 @@
 The eight value records are NamedTuples: they keep the reprs, equality,
 hashing and immutability they had as frozen records, and they unpack and
 compare as the tuples of their fields.  ``CarrierMap`` and ``Variable`` check
-their fields on every route that builds one.
+their fields on every route that builds one.  Every value type, the slotted
+``FiniteAlgebra``, ``Signature`` and ``Partition`` included, pickles at every
+protocol through its checks.
 """
 
 import copy
@@ -20,6 +22,7 @@ from ualgebra import (
     Partition,
     PrincipalDescriptor,
     Variable,
+    adjoined_infinity_monoid,
     cyclic_group,
     klein_four,
     least_factorization,
@@ -121,8 +124,45 @@ def test_a_record_keeps_its_repr_equality_hash_and_immutability(record, text, ot
 
 @pytest.mark.parametrize("record, text, other", RECORDS, ids=_ids)
 def test_a_record_survives_a_pickle_round_trip(record, text, other):
-    loaded = pickle.loads(pickle.dumps(record))
-    assert type(loaded) is type(record) and loaded == record and repr(loaded) == text
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        loaded = pickle.loads(pickle.dumps(record, protocol))
+        assert type(loaded) is type(record) and loaded == record and repr(loaded) == text
+
+
+# The slotted classes: each pickles as a call of its checking constructor.
+SLOTTED = {
+    "FiniteAlgebra": adjoined_infinity_monoid(2),
+    "Signature": Z4_SIG,
+    "Partition": Partition.parse("0,2|1,3"),
+}
+
+
+@pytest.mark.parametrize("value", SLOTTED.values(), ids=SLOTTED)
+def test_an_algebra_signature_or_partition_survives_a_pickle_round_trip(value):
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        loaded = pickle.loads(pickle.dumps(value, protocol))
+        assert type(loaded) is type(value) and loaded == value and hash(loaded) == hash(value)
+        assert repr(loaded) == repr(value)
+
+
+class _Forged:
+    """Pickles to the bytes of a value whose ``__reduce__`` returned ``reduce``."""
+
+    def __init__(self, reduce):
+        self.reduce = reduce
+
+    def __reduce__(self):
+        return self.reduce
+
+
+def test_a_pickled_algebra_with_an_out_of_carrier_table_is_refused():
+    X = cyclic_group(2)
+    protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+    assert all(pickle.dumps(_Forged(X.__reduce__()), p) == pickle.dumps(X, p) for p in protocols)
+    forged = _Forged((FiniteAlgebra, (X.sig, 2, {"m": (0, 1, 1, 2), "i": (0, 1), "e": 0})))
+    for protocol in protocols:
+        with pytest.raises(OutOfCarrierError, match="table for 'm' has entry 2, carrier size 2"):
+            pickle.loads(pickle.dumps(forged, protocol))
 
 
 @pytest.mark.parametrize("record, text, other", RECORDS, ids=_ids)
