@@ -395,23 +395,21 @@ def holds(X: FiniteAlgebra, p: Term, q: Term) -> Check:
     """Check the identity ``p ≈ q`` over every assignment into ``X``.
 
     The witness on failure is the lexicographically least violating
-    assignment, as a dict ``{variable index: element}``.  With two or more
-    variables the term tables are built one value of the first variable at
-    a time, in order, so a failing identity stops at the first chunk that
-    differs.  When every operation has k^n <= 256 entries the variable
-    tables are ``bytes``, so both term tables are ``bytes`` end to end.
+    assignment, as a dict ``{variable index: element}``.  The term tables
+    are built one chunk per value of a prefix of the variables (the first
+    with two or more, else none), in order, so a failing identity stops at
+    the first chunk that differs.  When every operation has k^n <= 256
+    entries the variable tables are ``bytes``, so both term tables are
+    ``bytes`` end to end.
     """
     k = X.size
     variables = sorted(vars_of(p) | vars_of(q))
     _check_length(k ** len(variables))
     as_table = bytes if _closure_width(X) == 1 else tuple
-    if len(variables) < 2:
-        chunks = [list(map(as_table, projection_tables((k,) * len(variables))))]
-    else:
-        rest = list(map(as_table, projection_tables((k,) * (len(variables) - 1))))
-        chunks = ([as_table((x,)) * len(rest[0]), *rest] for x in range(k))
-    for tables in chunks:
-        env = dict(zip(variables, tables))
+    fixed = 1 if len(variables) > 1 else 0
+    rest = list(map(as_table, projection_tables((k,) * (len(variables) - fixed))))
+    for prefix in itertools.product(range(k), repeat=fixed):
+        env = dict(zip(variables, [*(as_table((x,)) * k ** len(rest) for x in prefix), *rest]))
         left, right = term_table(p, X, env), term_table(q, X, env)
         if left != right:
             j = _first_difference(left, right)

@@ -21,14 +21,18 @@ from .translations import PrincipalDescriptor, Translation, _principal_tables
 PARTITION_ENUM_CAP = 4140
 
 
+def _check_partition(X, part: Partition) -> None:
+    if part.size != X.size:
+        raise SizeMismatchError(f"partition size {part.size} != carrier size {X.size}")
+
+
 def is_congruence_direct(X, part: Partition) -> Check:
     """Exhaustive check of the defining condition.
 
     Witness on failure: ``(symbol, xs, ys)`` with xs ~ ys componentwise but
     op(xs) !~ op(ys), least by (xs + ys, symbol declaration order).
     """
-    if part.size != X.size:
-        raise SizeMismatchError(f"partition size {part.size} != carrier size {X.size}")
+    _check_partition(X, part)
     blocks = part.blocks()
     members = [blocks[part.block_of[x]] for x in range(X.size)]
     best = None
@@ -61,8 +65,7 @@ def is_congruence_via_translations(X, part: Partition) -> Check:
     separates; if it separates x < y in a block, it separates (a, x) or (a, y).
     The witness ``Translation`` is built only on failure.
     """
-    if part.size != X.size:
-        raise SizeMismatchError(f"partition size {part.size} != carrier size {X.size}")
+    _check_partition(X, part)
     block = part.block_of
     pairs = [(members[0], x) for members in part.blocks() for x in members[1:]]  # ascending
     for t, first in _principal_tables(X).items():
@@ -122,10 +125,7 @@ def all_congruences(X, max_partitions: int = PARTITION_ENUM_CAP) -> list[Partiti
             if join not in found:
                 found.add(join)
                 if len(found) > max_partitions:
-                    raise SizeCapError(
-                        f"{len(found)} congruences found, "
-                        f"cap {max_partitions} (--max-partitions)"
-                    )
+                    raise SizeCapError.found(len(found), "congruences", max_partitions, "--max-partitions")
                 frontier.append(join)
     return sorted(found, key=lambda p: p.block_of)
 
@@ -139,8 +139,7 @@ def largest_congruence_below(X, part: Partition) -> Partition:
     every principal translation, so it is a congruence; every congruence
     below ``part`` refines each round, so the fixpoint is the largest.
     """
-    if part.size != X.size:
-        raise SizeMismatchError(f"partition size {part.size} != carrier size {X.size}")
+    _check_partition(X, part)
     tables = list(_principal_tables(X))
     while True:
         block = part.block_of

@@ -59,6 +59,11 @@ class SizeMismatchError(UAlgError):
 class SizeCapError(UAlgError):
     """An exhaustive routine would exceed its configured cap."""
 
+    @classmethod
+    def found(cls, count: int, things: str, cap: int, flag: str) -> "SizeCapError":
+        """The refusal of a closure that found ``count`` ``things``, past the ``cap`` that option ``flag`` sets."""
+        return cls(f"{count} {things} found, cap {cap} ({flag})")
+
 
 class PartitionError(UAlgError):
     """Malformed partition: duplicate, missing, or out-of-range elements."""

@@ -28,10 +28,14 @@ class Factorization(NamedTuple):
         return self.g.then(self.h)
 
 
-def is_factorization(X: FiniteAlgebra, f: CarrierMap, cand: Factorization) -> Check:
-    """Verify the three defining clauses; the witness names the first violated one."""
+def _check_map(X: FiniteAlgebra, f: CarrierMap) -> None:
     if f.source_size != X.size:
         raise SizeMismatchError("f is not a map on X's carrier")
+
+
+def is_factorization(X: FiniteAlgebra, f: CarrierMap, cand: Factorization) -> Check:
+    """Verify the three defining clauses; the witness names the first violated one."""
+    _check_map(X, f)
     if (
         cand.g.source_size != X.size
         or cand.g.target_size != cand.Y.size
@@ -80,8 +84,7 @@ def precedes(F1: Factorization, F2: Factorization) -> Check:
 
 def greatest_factorization(X: FiniteAlgebra, f: CarrierMap) -> Factorization:
     """(id, X, f): every factorization of f precedes it."""
-    if f.source_size != X.size:
-        raise SizeMismatchError("f is not a map on X's carrier")
+    _check_map(X, f)
     return Factorization(CarrierMap.identity(X.size), X, f, f.target_size)
 
 
@@ -96,8 +99,7 @@ def _factor_through(X: FiniteAlgebra, f: CarrierMap, theta: Partition) -> Factor
 def least_factorization(X: FiniteAlgebra, f: CarrierMap) -> Factorization:
     """The least factorization of f: the quotient by the largest congruence
     refining ker f, with h sending each block to f of its least member."""
-    if f.source_size != X.size:
-        raise SizeMismatchError("f is not a map on X's carrier")
+    _check_map(X, f)
     return _factor_through(X, f, largest_congruence_below(X, kernel(f)))
 
 
@@ -109,8 +111,7 @@ def enumerate_factorizations(
     Brute-force oracle: factorizations up to renaming of Y correspond
     exactly to such congruences.  Ordered by canonical congruence order.
     """
-    if f.source_size != X.size:
-        raise SizeMismatchError("f is not a map on X's carrier")
+    _check_map(X, f)
     ker_f = kernel(f)
     return [
         _factor_through(X, f, theta)

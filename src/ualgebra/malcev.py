@@ -112,7 +112,7 @@ def _clone_closure(X: FiniteAlgebra, cap: int) -> Iterator[tuple[int, ...]]:
     ``cap``, projections and constants included."""
     for count, table in enumerate(_generated(X, projection_tables((X.size,) * 3)), 1):
         if count > cap:
-            raise SizeCapError(f"{count} ternary term operations found, cap {cap} (--max-clone)")
+            raise SizeCapError.found(count, "ternary term operations", cap, "--max-clone")
         yield table
 
 

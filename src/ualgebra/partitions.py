@@ -53,9 +53,7 @@ class Partition:
 
     def refines(self, other: "Partition") -> bool:
         """True iff every block of ``self`` lies inside a block of ``other``."""
-        if other.size != self.size:
-            raise SizeMismatchError(f"partition sizes differ: {self.size} vs {other.size}")
-        return len(set(zip(self._block_of, other._block_of))) == self._num_blocks  # each block meets one of other
+        return self.meet(other).num_blocks == self._num_blocks  # the meet refines self, and is self iff no block splits
 
     def meet(self, other: "Partition") -> "Partition":
         """Common refinement."""

@@ -144,7 +144,7 @@ def semigroup_tree(X, cap: int = SEMIGROUP_HARD_CAP) -> SemigroupTree:
     identity = tuple(range(k))
     letter = [-1, *(j for j, g in enumerate(generators) if g.table != identity)]
     if len(letter) > cap:  # the identity's run is made at once; the cap counts the identity too
-        raise SizeCapError(f"{max(cap, 0) + 1} translations found, cap {cap} (--max-semigroup)")
+        raise SizeCapError.found(max(cap, 0) + 1, "translations", cap, "--max-semigroup")
     first = [generators[j].table for j in letter[1:]]
     form, to_map = (bytes, algebra._byte_map) if algebra._width(k) == 1 else (tuple, tuple)
     tables = [form(identity), *map(form, first)]
@@ -167,9 +167,7 @@ def semigroup_tree(X, cap: int = SEMIGROUP_HARD_CAP) -> SemigroupTree:
             if table in seen:
                 continue
             if len(tables) >= cap:
-                raise SizeCapError(
-                    f"{len(tables) + 1} translations found, cap {cap} (--max-semigroup)"
-                )
+                raise SizeCapError.found(len(tables) + 1, "translations", cap, "--max-semigroup")
             seen.add(table)
             tables.append(table)
             parent.append(i)

@@ -114,6 +114,8 @@ def test_later_chunk_failures_keep_the_least_witness(k, p_text, q_text, monkeypa
     witness = _assert_matches_oracle(_chain(k), p_text, q_text)
     assert witness is not None and witness[min(witness)] > 0
     assert set(kinds) == {bytes if k <= 16 else tuple}
+    # holds, then in_equational_class: two term tables a chunk each, and none after the failing chunk
+    assert len(kinds) == 2 * 2 * (witness[min(witness)] + 1)
 
 
 @pytest.mark.parametrize("k", [16, 17])
@@ -123,6 +125,7 @@ def test_identities_with_constants_match_the_oracle(k):
     assert _assert_matches_oracle(X, "m(z,z)", "z") is None
     assert _assert_matches_oracle(X, "s(z)", "z") == {}
     assert _assert_matches_oracle(X, "m(v1,s(z))", "s(m(v1,z))") == {1: 0}
+    assert _assert_matches_oracle(X, "m(v1,s(z))", "v1") == {1: 2}  # one variable: one chunk, a late entry
     assert _assert_matches_oracle(X, "m(v2,s(s(z)))", "m(s(z),v1)") == {1: 0, 2: 1}
 
 

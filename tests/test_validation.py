@@ -5,7 +5,9 @@ level at a time; it is compared with ``frozen_flatten``, the depth-first walk
 it replaced, on valid tables, on tables with one fault and on arbitrary
 values.  Algebras the library builds (quotients, subalgebras, products,
 least factorizations) skip validation, so each is compared with a validated
-rebuild.  Bad arguments to the library functions raise their typed errors.
+rebuild.  Bad arguments to the library functions raise their typed errors,
+and every site of a rule that one guard or one cap constructor defines
+raises it with its type and message.
 """
 
 import copy
@@ -23,12 +25,15 @@ from ualgebra import (
     Signature,
     Variable,
     adjoined_infinity_monoid,
+    all_congruences,
     all_partitions,
+    clone_ternary_terms,
     congruence_generated,
     cyclic_group,
     diagonal_hom,
     enumerate_factorizations,
     greatest_factorization,
+    has_malcev_term,
     is_factorization,
     is_homomorphism,
     largest_congruence_below,
@@ -38,6 +43,7 @@ from ualgebra import (
     product,
     quotient,
     subalgebra_generated,
+    translation_semigroup,
 )
 from ualgebra.algebra import _flatten
 from ualgebra.congruences import is_congruence_direct, is_congruence_via_translations
@@ -48,10 +54,12 @@ from ualgebra.errors import (
     MismatchedBaseError,
     OutOfCarrierError,
     PartitionError,
+    SizeCapError,
     SizeMismatchError,
     UAlgError,
     UnknownSymbolError,
 )
+from ualgebra.translations import semigroup_tree
 
 from _oracles import SIGNATURES, frozen_flatten, planted_algebra
 
@@ -268,6 +276,98 @@ def test_domain_errors_are_typed_and_still_value_errors(call, error):
         call()
     assert type(info.value) is error
     assert isinstance(info.value, ValueError)
+
+
+PAIR = Partition.singletons(2)  # fits no carrier of Z3
+UNARY4 = FiniteAlgebra(Signature([("u", 1)]), 4, {"u": [0, 1, 2, 3]})  # all 15 partitions are congruences
+# Each rule that one guard or one cap constructor defines, at every site that
+# raises it.  Cap 0 cannot reach the congruence refusal: at k >= 2 the pairs
+# a < b outnumber the cap first, and at k = 1 no join is made, so none is counted.
+SHARED_RULE_MESSAGES = {
+    "is_factorization": (
+        lambda: is_factorization(Z3, SHORT_MAP, greatest_factorization(Z3, IDENTITY3)),
+        SizeMismatchError,
+        "f is not a map on X's carrier",
+    ),
+    "greatest_factorization": (
+        lambda: greatest_factorization(Z3, SHORT_MAP),
+        SizeMismatchError,
+        "f is not a map on X's carrier",
+    ),
+    "least_factorization": (
+        lambda: least_factorization(Z3, SHORT_MAP),
+        SizeMismatchError,
+        "f is not a map on X's carrier",
+    ),
+    "enumerate_factorizations": (
+        lambda: enumerate_factorizations(Z3, SHORT_MAP),
+        SizeMismatchError,
+        "f is not a map on X's carrier",
+    ),
+    "is_congruence_direct": (
+        lambda: is_congruence_direct(Z3, PAIR),
+        SizeMismatchError,
+        "partition size 2 != carrier size 3",
+    ),
+    "is_congruence_via_translations": (
+        lambda: is_congruence_via_translations(Z3, PAIR),
+        SizeMismatchError,
+        "partition size 2 != carrier size 3",
+    ),
+    "largest_congruence_below": (
+        lambda: largest_congruence_below(Z3, PAIR),
+        SizeMismatchError,
+        "partition size 2 != carrier size 3",
+    ),
+    "Partition.refines": (
+        lambda: PAIR.refines(Partition.singletons(3)),
+        SizeMismatchError,
+        "partition sizes differ: 2 vs 3",
+    ),
+    "Partition.meet": (
+        lambda: Partition.single_block(3).meet(PAIR),
+        SizeMismatchError,
+        "partition sizes differ: 3 vs 2",
+    ),
+    "semigroup cap 0": (
+        lambda: semigroup_tree(cyclic_group(4), 0),
+        SizeCapError,
+        "1 translations found, cap 0 (--max-semigroup)",
+    ),
+    "semigroup cap within the identity's run": (
+        lambda: semigroup_tree(cyclic_group(4), 2),
+        SizeCapError,
+        "3 translations found, cap 2 (--max-semigroup)",
+    ),
+    "semigroup cap mid-closure": (
+        lambda: translation_semigroup(cyclic_group(4), 5),
+        SizeCapError,
+        "6 translations found, cap 5 (--max-semigroup)",
+    ),
+    "congruences cap mid-closure": (
+        lambda: all_congruences(UNARY4, 6),
+        SizeCapError,
+        "7 congruences found, cap 6 (--max-partitions)",
+    ),
+    "clone cap 0": (
+        lambda: clone_ternary_terms(Z3, 0),
+        SizeCapError,
+        "1 ternary term operations found, cap 0 (--max-clone)",
+    ),
+    "clone cap mid-closure": (
+        lambda: has_malcev_term(Z3, 5),
+        SizeCapError,
+        "6 ternary term operations found, cap 5 (--max-clone)",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error, message", SHARED_RULE_MESSAGES.values(), ids=SHARED_RULE_MESSAGES)
+def test_shared_rules_keep_their_type_and_message(call, error, message):
+    with pytest.raises(UAlgError) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 def test_unknown_symbol_has_no_index():
